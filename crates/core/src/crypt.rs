@@ -19,7 +19,18 @@
 //! Tying the IV to the physical block number lets any block be decrypted in
 //! isolation (the paper decrypts blocks "on-the-fly during retrieval") without
 //! storing per-block nonces anywhere they could betray the file.
+//!
+//! `KDF` is the 1000-iteration PBKDF2 stretch — by far the most expensive
+//! step of the schedule (~1 ms), and a pure function of `(physical name,
+//! FAK)`.  So a mounted volume runs it **once per object per session**:
+//! `StegFs::object_keys` serves every later use from the read cache's key
+//! map ([`crate::readcache`]), keyed by a domain-separated SHA-256 of the
+//! pair (never by key material), tagged with the session that resolved it
+//! and dropped — zeroed — at that session's sign-off, at `disconnect_all` /
+//! unmount, on eviction, and when the object is deleted, renamed or
+//! re-keyed.  Nothing here or in the key map ever reaches the device.
 
+use stegfs_crypto::ct::zeroize;
 use stegfs_crypto::kdf::{derive_key, derive_subkey};
 use stegfs_crypto::modes::{derive_iv, CtrCipher};
 use stegfs_crypto::sha256::DIGEST_LEN;
@@ -36,6 +47,11 @@ pub const SIGNATURE_LEN: usize = 32;
 /// operation rebuilt the schedule from `enc_key`, so warm hidden reads paid
 /// one key expansion *per block*; now they pay one per object (asserted by
 /// the `one_key_expansion_per_object_not_per_block` test below).
+///
+/// Dropping an `ObjectKeys` zeroes the master key, the encryption key and
+/// the signature (and, through [`stegfs_crypto::Aes`]'s own `Drop`, the
+/// expanded round keys), so a key set evicted from or purged out of the key
+/// cache leaves no copy behind.
 pub struct ObjectKeys {
     master: [u8; DIGEST_LEN],
     enc_key: [u8; DIGEST_LEN],
@@ -80,6 +96,14 @@ impl ObjectKeys {
     /// (CTR mode: same operation as encryption.)
     pub fn decrypt_block(&self, block_no: u64, data: &mut [u8]) {
         self.encrypt_block(block_no, data);
+    }
+}
+
+impl Drop for ObjectKeys {
+    fn drop(&mut self) {
+        zeroize(&mut self.master);
+        zeroize(&mut self.enc_key);
+        zeroize(&mut self.signature);
     }
 }
 

@@ -14,10 +14,20 @@
 //! run of the same workload produce byte-identical disk images (asserted by
 //! `tests/readpath_cache.rs`).
 //!
-//! Two things are cached, both keyed by material derived from the object's
+//! Three things are cached, all keyed by material derived from the object's
 //! access key (so a cache entry is exactly as secret as the key that created
 //! it):
 //!
+//! * **Stretched object keys** — the [`ObjectKeys`] of `(physical name,
+//!   FAK)`, so the ~1 ms PBKDF2 stretch runs once per object per session
+//!   instead of on every key-addressed operation.  The map is indexed by
+//!   one SHA-256 over its own domain label and the pair, so the index is
+//!   never key material itself.  It holds at most
+//!   [`MAX_CACHED_KEYS`] sets (fewer when the block capacity is smaller;
+//!   none when it is 0), LRU-evicted per shard.  Keys are a pure function of
+//!   the pair, so an entry can never go stale; it is dropped when the
+//!   object is deleted, renamed or re-keyed ([`ReadCache::forget_keys`]) all
+//!   the same.
 //! * **Per-object header + extent maps** — the decrypted
 //!   [`HiddenHeader`] and the data/chain block lists of the inode chain,
 //!   keyed by the object's 256-bit signature.  A hit skips the
@@ -39,11 +49,13 @@
 //! * **Session sign-off** — the VFS purges the departing session's scope
 //!   ([`ReadCache::purge_scope`]): every entry tagged with that session's
 //!   keys, plus every entry whose owner was never established, is removed
-//!   and zeroed, so no decrypted byte outlives the session that could
-//!   legitimately read it.  Entries other live sessions resolved through
-//!   their own keys stay warm.  `disconnect_all` and unmount still purge
-//!   *everything* ([`ReadCache::purge`]).  Purged and evicted plaintext
-//!   buffers are zeroed before they are freed ([`zeroize`]).
+//!   and zeroed, so no decrypted byte — and no stretched key — outlives the
+//!   session that could legitimately use it.  Entries other live sessions
+//!   resolved through their own keys stay warm.  `disconnect_all` and
+//!   unmount still purge *everything* ([`ReadCache::purge`]).  Purged and
+//!   evicted plaintext buffers are zeroed before they are freed
+//!   ([`zeroize`]); a purged or evicted key set is zeroed by
+//!   [`ObjectKeys`]'s `Drop` once the last open handle using it lets go.
 //! * **Remount** — the cache lives inside the mounted [`crate::StegFs`]
 //!   value and is never persisted, so a crash-replay remount starts provably
 //!   empty.
@@ -51,7 +63,9 @@
 //! The cache never makes a *negative* claim: a miss falls through to the
 //! normal locator/decrypt path, so wrong-key lookups behave exactly as
 //! before (deniable not-found), and nothing about timing distinguishes "no
-//! such object" from "not cached".
+//! such object" from "not cached".  The key map in particular records only
+//! what a derivation returned — never whether the object it addresses
+//! exists — so a cached wrong key still probes, and fails, like a fresh one.
 //!
 //! # Coherence model
 //!
@@ -62,17 +76,39 @@
 //! bypasses invalidation and is unsupported (the same pre-existing rule as
 //! bypassing the object shards).
 
-use crate::crypt::SIGNATURE_LEN;
+use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::header::HiddenHeader;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use stegfs_crypto::sha256::sha256_concat;
 use stegfs_obs::{span, ReadCacheStats};
 
-/// Number of independently locked shards for each of the two maps.
+/// Number of independently locked shards for each of the three maps.
 const SHARDS: usize = 16;
+
+/// Most stretched key sets the key map holds.  The bound is also capped by
+/// the plaintext-block capacity, so a small cache stays small and a
+/// capacity of 0 caches no keys at all.  A key set is ~0.7 KiB with its
+/// expanded AES schedules, so the map stays within a few hundred KiB.
+pub const MAX_CACHED_KEYS: usize = 512;
+
+/// Index of one key set in the key map (see [`key_digest`]).
+type KeyDigest = [u8; 32];
+
+/// The key-map index of `(physical name, FAK)`: one SHA-256 under its own
+/// domain label, length-prefixing the name so no two pairs collide.  The
+/// table is keyed by this digest, never by key material.
+fn key_digest(physical_name: &str, fak: &[u8]) -> KeyDigest {
+    sha256_concat(&[
+        b"stegfs-key-cache",
+        &(physical_name.len() as u64).to_be_bytes(),
+        physical_name.as_bytes(),
+        fak,
+    ])
+}
 
 /// Entry generation that never matches a live entry: block lookups and
 /// inserts under it are no-ops.  Used when an insert lost against a
@@ -158,6 +194,19 @@ struct BlockEntry {
     tick: u64,
 }
 
+/// One cached key set, scope-tagged like a header entry.
+struct KeyEntry {
+    keys: Arc<ObjectKeys>,
+    scope: u64,
+    tick: u64,
+}
+
+#[derive(Default)]
+struct KeyShard {
+    map: HashMap<KeyDigest, KeyEntry>,
+    tick: u64,
+}
+
 #[derive(Default)]
 struct BlockShard {
     map: HashMap<(u64, u64), BlockEntry>,
@@ -197,6 +246,12 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// Object header/extent entries currently resident.
     pub resident_objects: u64,
+    /// Key-set lookups served from the key map (stretch skipped).
+    pub key_hits: u64,
+    /// Key-set lookups that had to run the stretch.
+    pub key_misses: u64,
+    /// Stretched key sets currently resident.
+    pub resident_keys: u64,
 }
 
 #[derive(Default)]
@@ -212,16 +267,14 @@ struct Counters {
     rejected_inserts: AtomicU64,
     purges: AtomicU64,
     scoped_purges: AtomicU64,
+    key_hits: AtomicU64,
+    key_misses: AtomicU64,
 }
 
 /// Overwrite a buffer with zeros in a way the optimiser cannot elide, then
-/// let it drop.  Used for every evicted, purged or pooled plaintext buffer.
-pub fn zeroize(buf: &mut [u8]) {
-    buf.fill(0);
-    // The black_box makes the zeroed contents observable, so the fill above
-    // cannot be removed as a dead store ahead of the deallocation.
-    std::hint::black_box(&*buf);
-}
+/// let it drop.  Used for every evicted, purged or pooled plaintext buffer;
+/// the same primitive wipes dropped key sets ([`ObjectKeys`]).
+pub use stegfs_crypto::ct::zeroize;
 
 /// The read-path cache of one mounted volume.  See the module docs for the
 /// full contract; in one line: *decrypted state may be cached in RAM for as
@@ -238,6 +291,11 @@ pub struct ReadCache {
     next_entry_gen: AtomicU64,
     objects: Vec<Mutex<HashMap<ObjectSig, CachedObject>>>,
     blocks: Vec<Mutex<BlockShard>>,
+    keys: Vec<Mutex<KeyShard>>,
+    /// Bumped by every purge, before its sweep: a derivation that started
+    /// before a sign-off cannot park the departed session's keys afterwards
+    /// (invalidations leave it alone — keys never go stale).
+    key_epoch: AtomicU64,
     counters: Counters,
     /// Session scope of each signature, fed by the lookup paths that *do*
     /// know which access key resolved the object ([`Self::tag_scope`]).
@@ -271,6 +329,10 @@ impl ReadCache {
             blocks: (0..SHARDS)
                 .map(|_| Mutex::new(BlockShard::default()))
                 .collect(),
+            keys: (0..SHARDS)
+                .map(|_| Mutex::new(KeyShard::default()))
+                .collect(),
+            key_epoch: AtomicU64::new(0),
             counters: Counters::default(),
             scopes: Mutex::new(HashMap::new()),
             obs: Arc::new(ReadCacheStats::new(false)),
@@ -482,6 +544,88 @@ impl ReadCache {
     }
 
     // ------------------------------------------------------------------
+    // Stretched object keys
+    // ------------------------------------------------------------------
+
+    /// The key set of `(physical_name, fak)`: served from the key map, or
+    /// produced by `derive` (the stretch) on a miss and installed tagged
+    /// with `scope`.  A non-zero `scope` also re-tags a resident entry, as
+    /// [`Self::tag_scope`] does for headers; 0 means "caller does not know
+    /// the session" and leaves an existing tag alone.  `derive` runs with no
+    /// lock held.  With the cache disabled every call derives.
+    pub fn object_keys(
+        &self,
+        physical_name: &str,
+        fak: &[u8],
+        scope: u64,
+        derive: impl FnOnce() -> ObjectKeys,
+    ) -> Arc<ObjectKeys> {
+        if !self.enabled() {
+            return Arc::new(derive());
+        }
+        let digest = key_digest(physical_name, fak);
+        let idx = object_shard(&digest);
+        {
+            let mut shard = self.keys[idx].lock();
+            shard.tick += 1;
+            let tick = shard.tick;
+            if let Some(entry) = shard.map.get_mut(&digest) {
+                entry.tick = tick;
+                if scope != 0 {
+                    entry.scope = scope;
+                }
+                self.counters.key_hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(&entry.keys);
+            }
+        }
+        self.counters.key_misses.fetch_add(1, Ordering::Relaxed);
+        let started = self.key_epoch.load(Ordering::Acquire);
+        let keys = Arc::new(derive());
+        let per_shard = (self.capacity_blocks.min(MAX_CACHED_KEYS) / SHARDS).max(1);
+        let mut shard = self.keys[idx].lock();
+        // Same ordering argument as `store`: a purge bumps the epoch before
+        // it sweeps, so either this insert sees the bump and is dropped, or
+        // the sweep runs after it and removes it.
+        if self.key_epoch.load(Ordering::Acquire) != started {
+            return keys;
+        }
+        shard.tick += 1;
+        let tick = shard.tick;
+        let entry = shard.map.entry(digest).or_insert_with(|| KeyEntry {
+            keys: Arc::clone(&keys),
+            scope,
+            tick,
+        });
+        // A racing miss may have installed the same keys first; share its.
+        let keys = Arc::clone(&entry.keys);
+        if scope != 0 {
+            entry.scope = scope;
+        }
+        while shard.map.len() > per_shard {
+            let victim = shard
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.tick)
+                .map(|(k, _)| *k)
+                .expect("non-empty map");
+            // Dropping the entry zeroes the key set (ObjectKeys: Drop) unless
+            // an open handle still shares it.
+            shard.map.remove(&victim);
+        }
+        keys
+    }
+
+    /// Drop the cached key set of `(physical_name, fak)` — called when the
+    /// object is deleted, renamed or re-keyed.
+    pub fn forget_keys(&self, physical_name: &str, fak: &[u8]) {
+        if !self.enabled() {
+            return;
+        }
+        let digest = key_digest(physical_name, fak);
+        self.keys[object_shard(&digest)].lock().map.remove(&digest);
+    }
+
+    // ------------------------------------------------------------------
     // Plaintext block cache
     // ------------------------------------------------------------------
 
@@ -644,8 +788,15 @@ impl ReadCache {
         // Bump first, same ordering argument as `invalidate`: in-flight
         // walks that started before the sign-off cannot install afterwards.
         self.global_gen.fetch_add(1, Ordering::AcqRel);
+        self.key_epoch.fetch_add(1, Ordering::AcqRel);
         self.counters.scoped_purges.fetch_add(1, Ordering::Relaxed);
         self.scopes.lock().retain(|_, s| *s != scope);
+        for shard in &self.keys {
+            shard
+                .lock()
+                .map
+                .retain(|_, e| e.scope != scope && e.scope != 0);
+        }
         // Sweep matching (and unscoped) object entries, collecting their
         // generations; then sweep the block shards by generation so no
         // plaintext survives even if an extent list was never installed.
@@ -685,17 +836,22 @@ impl ReadCache {
     }
 
     /// Drop and zero **everything** — the sign-off/unmount hook.  After this
-    /// returns, [`CacheStats::resident_blocks`] and
-    /// [`CacheStats::resident_bytes`] are zero and no decrypted byte from
-    /// before the purge is reachable through the cache.
+    /// returns, [`CacheStats::resident_blocks`],
+    /// [`CacheStats::resident_bytes`] and [`CacheStats::resident_keys`] are
+    /// zero and no decrypted byte or stretched key from before the purge is
+    /// reachable through the cache.
     pub fn purge(&self) {
         if !self.enabled() {
             return;
         }
         let start = self.clock();
         self.global_gen.fetch_add(1, Ordering::AcqRel);
+        self.key_epoch.fetch_add(1, Ordering::AcqRel);
         self.counters.purges.fetch_add(1, Ordering::Relaxed);
         self.scopes.lock().clear();
+        for shard in &self.keys {
+            shard.lock().map.clear();
+        }
         for shard in &self.objects {
             shard.lock().clear();
         }
@@ -728,6 +884,11 @@ impl ReadCache {
             .iter()
             .map(|s| s.lock().len() as u64)
             .sum::<u64>();
+        let resident_keys = self
+            .keys
+            .iter()
+            .map(|s| s.lock().map.len() as u64)
+            .sum::<u64>();
         let c = &self.counters;
         CacheStats {
             header_hits: c.header_hits.load(Ordering::Relaxed),
@@ -744,6 +905,9 @@ impl ReadCache {
             resident_blocks,
             resident_bytes,
             resident_objects,
+            key_hits: c.key_hits.load(Ordering::Relaxed),
+            key_misses: c.key_misses.load(Ordering::Relaxed),
+            resident_keys,
         }
     }
 
@@ -1085,6 +1249,71 @@ mod tests {
         assert_eq!(s.miss_ns.count, 1);
         assert_eq!(s.evict_ns.count, 1);
         assert_eq!(s.zeroize_ns.count, 1);
+    }
+
+    fn keys_of(name: &str) -> ObjectKeys {
+        ObjectKeys::derive(name, b"fak")
+    }
+
+    #[test]
+    fn key_map_stretches_once_and_never_stores_when_disabled() {
+        let off = ReadCache::new(0);
+        let mut derived = 0;
+        for _ in 0..2 {
+            off.object_keys("a", b"fak", 1, || {
+                derived += 1;
+                keys_of("a")
+            });
+        }
+        assert_eq!(derived, 2, "a disabled cache must derive every time");
+        assert_eq!(off.stats().resident_keys, 0);
+
+        let c = ReadCache::new(64);
+        let mut derived = 0;
+        let first = c.object_keys("a", b"fak", 1, || {
+            derived += 1;
+            keys_of("a")
+        });
+        let second = c.object_keys("a", b"fak", 0, || {
+            derived += 1;
+            keys_of("a")
+        });
+        assert_eq!(derived, 1);
+        assert!(Arc::ptr_eq(&first, &second));
+        let s = c.stats();
+        assert_eq!((s.key_hits, s.key_misses, s.resident_keys), (1, 1, 1));
+        c.forget_keys("a", b"fak");
+        assert_eq!(c.stats().resident_keys, 0);
+    }
+
+    #[test]
+    fn key_map_is_bounded() {
+        // Capacity below one per shard rounds up to one key set per shard.
+        let c = ReadCache::new(SHARDS);
+        for i in 0..3 * SHARDS {
+            c.object_keys(&format!("obj-{i}"), b"fak", 1, || keys_of("x"));
+        }
+        assert!(c.stats().resident_keys <= SHARDS as u64);
+    }
+
+    #[test]
+    fn scoped_purge_sweeps_own_and_unscoped_keys_and_late_inserts() {
+        let c = ReadCache::new(256);
+        let (alice, bob) = (11u64, 22u64);
+        c.object_keys("alice's", b"f", alice, || keys_of("a"));
+        c.object_keys("bob's", b"f", bob, || keys_of("b"));
+        c.object_keys("unscoped", b"f", 0, || keys_of("u"));
+        c.purge_scope(alice);
+        assert_eq!(c.stats().resident_keys, 1, "only bob's set may survive");
+
+        // A derivation in flight across a sign-off lands nowhere.
+        c.object_keys("late", b"f", bob, || {
+            c.purge_scope(33);
+            keys_of("late")
+        });
+        assert_eq!(c.stats().resident_keys, 1);
+        c.purge();
+        assert_eq!(c.stats().resident_keys, 0);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub struct HiddenHandle {
     /// read through the handle can queue a repair ticket.
     physical_name: String,
     fak: [u8; FAK_LEN],
-    keys: ObjectKeys,
+    keys: Arc<ObjectKeys>,
     object: HiddenObject,
 }
 
@@ -466,6 +466,28 @@ impl<D: BlockDevice> StegFs<D> {
         u64::from_be_bytes(digest[..8].try_into().expect("8 bytes")) | 1
     }
 
+    /// The key set of `(physical, fak)`, stretched at most once per session:
+    /// served from the read cache's key map, derived under a `kdf` span on a
+    /// miss.  `scope` tags the cached set with the session that resolved the
+    /// object ([`Self::session_scope`]), or is 0 when the caller does not
+    /// know it.  Every key derivation of a mounted volume goes through here.
+    fn object_keys(&self, physical: &str, fak: &[u8], scope: u64) -> Arc<ObjectKeys> {
+        self.read_cache.object_keys(physical, fak, scope, || {
+            let _kdf = span::span(span::Phase::Kdf);
+            ObjectKeys::derive(physical, fak)
+        })
+    }
+
+    /// Drop everything cached for the object behind `entry` — its header,
+    /// extents, plaintext blocks and key set (after a delete, rename or
+    /// re-key).
+    fn forget_object(&self, entry: &DirectoryEntry) {
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
+        self.read_cache.invalidate(keys.signature());
+        self.read_cache
+            .forget_keys(&entry.physical_name, &entry.fak);
+    }
+
     fn store_config(&self) -> StegResult<()> {
         let bytes = self.config.serialize();
         self.fs.write_file(CONFIG_PATH, &bytes)?;
@@ -503,7 +525,7 @@ impl<D: BlockDevice> StegFs<D> {
     fn create_dummy_files(&self) -> StegResult<()> {
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
-            let keys = ObjectKeys::derive(&name, &fak);
+            let keys = self.object_keys(&name, &fak, 0);
             let mut obj = hidden::create(&self.fs, &name, &keys, ObjectKind::File, &self.params)?;
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size.min(usize::MAX as u64) as usize);
@@ -519,7 +541,7 @@ impl<D: BlockDevice> StegFs<D> {
         let mut touched = 0;
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
-            let keys = ObjectKeys::derive(&name, &fak);
+            let keys = self.object_keys(&name, &fak, 0);
             let _obj_lock = self.object_guard(&name);
             let mut obj = match hidden::open(&self.fs, &name, &keys, &self.params) {
                 Ok(o) => o,
@@ -586,8 +608,8 @@ impl<D: BlockDevice> StegFs<D> {
     // UAK directories
     // ------------------------------------------------------------------
 
-    fn uak_keys(uak: &str) -> ObjectKeys {
-        ObjectKeys::derive(UAK_DIRECTORY_NAME, uak.as_bytes())
+    fn uak_keys(&self, uak: &str) -> Arc<ObjectKeys> {
+        self.object_keys(UAK_DIRECTORY_NAME, uak.as_bytes(), Self::session_scope(uak))
     }
 
     /// Load the UAK directory.  Caller holds the UAK shard lock.
@@ -597,7 +619,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// read cache like any other object; [`Self::save_uak_directory`]
     /// invalidates.
     fn load_uak_directory(&self, uak: &str) -> StegResult<(UakDirectory, Option<HiddenObject>)> {
-        let keys = Self::uak_keys(uak);
+        let keys = self.uak_keys(uak);
         // Tag before the walk so entries installed by it carry the session
         // scope (sign-off sweeps exactly this session's entries).
         self.read_cache
@@ -630,7 +652,7 @@ impl<D: BlockDevice> StegFs<D> {
         dir: &UakDirectory,
         existing: Option<HiddenObject>,
     ) -> StegResult<()> {
-        let keys = Self::uak_keys(uak);
+        let keys = self.uak_keys(uak);
         let mut obj = match existing {
             Some(obj) => obj,
             None => hidden::create(
@@ -697,9 +719,9 @@ impl<D: BlockDevice> StegFs<D> {
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
         // The object is about to be opened through this session's keys:
         // scope whatever the read paths cache for it to this session.
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
-        self.read_cache
-            .tag_scope(keys.signature(), Self::session_scope(uak));
+        let scope = Self::session_scope(uak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, scope);
+        self.read_cache.tag_scope(keys.signature(), scope);
         Ok(entry)
     }
 
@@ -733,7 +755,7 @@ impl<D: BlockDevice> StegFs<D> {
         // directory rewrite, not on whole-object I/O.
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
-        let keys = ObjectKeys::derive(&physical_name, &fak);
+        let keys = self.object_keys(&physical_name, &fak, Self::session_scope(uak));
         let mut obj = hidden::create_with_policy(
             &self.fs,
             &physical_name,
@@ -762,6 +784,7 @@ impl<D: BlockDevice> StegFs<D> {
             // deleting it returns the blocks with no visible trace.
             let mut rng = self.fork_rng();
             let _ = hidden::delete(&self.fs, &keys, &obj, &mut rng);
+            self.read_cache.forget_keys(&physical_name, &fak);
             return Err(StegError::AlreadyExists(objname.to_string()));
         }
         dir.insert(DirectoryEntry {
@@ -779,7 +802,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// objects report [`RepairOutcome::Intact`](hidden::RepairOutcome)
     /// untouched; an unrecoverable object writes nothing.
     pub fn scavenge_entry(&self, entry: &DirectoryEntry) -> StegResult<hidden::RepairOutcome> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
         let outcome = hidden::repair(&self.fs, &keys, &obj)?;
@@ -797,7 +820,7 @@ impl<D: BlockDevice> StegFs<D> {
         if !health.is_degraded() {
             return;
         }
-        let keys = ObjectKeys::derive(physical_name, fak);
+        let keys = self.object_keys(physical_name, fak, 0);
         let mut queue = self.repair_queue.lock();
         if queue.enqueued.insert(*keys.signature()) {
             queue.tickets.push_back(RepairTicket {
@@ -829,7 +852,7 @@ impl<D: BlockDevice> StegFs<D> {
             let Some(ticket) = ({
                 let mut queue = self.repair_queue.lock();
                 queue.tickets.pop_front().inspect(|t| {
-                    let keys = ObjectKeys::derive(&t.physical_name, &t.fak);
+                    let keys = self.object_keys(&t.physical_name, &t.fak, 0);
                     queue.enqueued.remove(keys.signature());
                 })
             }) else {
@@ -837,7 +860,7 @@ impl<D: BlockDevice> StegFs<D> {
             };
             drain.processed += 1;
             let _span = span::span(span::Phase::Repair);
-            let keys = ObjectKeys::derive(&ticket.physical_name, &ticket.fak);
+            let keys = self.object_keys(&ticket.physical_name, &ticket.fak, 0);
             let _obj_lock = self.object_guard(&ticket.physical_name);
             let outcome = hidden::open(&self.fs, &ticket.physical_name, &keys, &self.params)
                 .and_then(|obj| hidden::repair(&self.fs, &keys, &obj));
@@ -872,7 +895,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// shares per group.
     pub fn hidden_share_extents(&self, objname: &str, uak: &str) -> StegResult<Vec<Vec<u64>>> {
         let entry = self.entry_for(objname, uak)?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
         hidden::share_extents(&self.fs, &keys, &obj)
@@ -892,7 +915,7 @@ impl<D: BlockDevice> StegFs<D> {
                 expected: ObjectKind::File,
             });
         }
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let mut obj = hidden::open_cached(
             &self.fs,
@@ -929,7 +952,7 @@ impl<D: BlockDevice> StegFs<D> {
         len: usize,
     ) -> StegResult<Vec<u8>> {
         let entry = self.entry_for(objname, uak)?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let health = hidden::ReadHealth::new();
         let out = hidden::open_cached_observed(
@@ -966,7 +989,7 @@ impl<D: BlockDevice> StegFs<D> {
         data: &[u8],
     ) -> StegResult<()> {
         let entry = self.entry_for(objname, uak)?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let mut object = hidden::open_cached(
             &self.fs,
@@ -1062,7 +1085,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// entry, skipping the UAK-directory walk that [`Self::open_hidden`]
     /// performs.
     pub fn open_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<HiddenHandle> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let object = hidden::open_cached(
             &self.fs,
@@ -1180,15 +1203,14 @@ impl<D: BlockDevice> StegFs<D> {
         entry.name = newname.to_string();
         // The object itself is untouched by a rename, but the conservative
         // contract is that *every* namespace mutation invalidates.
-        self.read_cache
-            .invalidate(ObjectKeys::derive(&entry.physical_name, &entry.fak).signature());
+        self.forget_object(&entry);
         dir.insert(entry)?;
         self.session.lock().disconnect(objname);
         self.save_uak_directory(uak, &dir, existing)
     }
 
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
         let health = hidden::ReadHealth::new();
         let out = hidden::open_cached_observed(
@@ -1217,7 +1239,7 @@ impl<D: BlockDevice> StegFs<D> {
         let entry = dir
             .remove(objname)
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         {
             let _obj_lock = self.object_guard(&entry.physical_name);
             let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
@@ -1228,7 +1250,7 @@ impl<D: BlockDevice> StegFs<D> {
             }
             let mut rng = self.fork_rng();
             let result = hidden::delete(&self.fs, &keys, &obj, &mut rng);
-            self.read_cache.invalidate(keys.signature());
+            self.forget_object(&entry);
             result?;
             if entry.kind == ObjectKind::Directory {
                 self.delete_shadow_listing(&entry.physical_name, &entry.fak);
@@ -1339,7 +1361,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// As [`Self::read_directory_listing`] but with the object shard already
     /// held by the caller.
     fn read_listing_locked(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let health = hidden::ReadHealth::new();
         let raw = hidden::open_cached_observed(
             &self.fs,
@@ -1383,7 +1405,7 @@ impl<D: BlockDevice> StegFs<D> {
         parent: &DirectoryEntry,
         children: &UakDirectory,
     ) -> StegResult<()> {
-        let parent_keys = ObjectKeys::derive(&parent.physical_name, &parent.fak);
+        let parent_keys = self.object_keys(&parent.physical_name, &parent.fak, 0);
         let mut parent_obj = hidden::open_cached(
             &self.fs,
             &parent.physical_name,
@@ -1419,7 +1441,7 @@ impl<D: BlockDevice> StegFs<D> {
         }
         let (shadow_physical, shadow_fak) =
             Self::shadow_identity(&parent.physical_name, &parent.fak);
-        let shadow_keys = ObjectKeys::derive(&shadow_physical, &shadow_fak);
+        let shadow_keys = self.object_keys(&shadow_physical, &shadow_fak, 0);
         let mut shadow_obj =
             match hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params) {
                 Ok(obj) => obj,
@@ -1449,12 +1471,13 @@ impl<D: BlockDevice> StegFs<D> {
     /// a listing mutation) is not an error.
     fn delete_shadow_listing(&self, physical: &str, fak: &[u8; FAK_LEN]) {
         let (shadow_physical, shadow_fak) = Self::shadow_identity(physical, fak);
-        let shadow_keys = ObjectKeys::derive(&shadow_physical, &shadow_fak);
+        let shadow_keys = self.object_keys(&shadow_physical, &shadow_fak, 0);
         if let Ok(shadow_obj) = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)
         {
             let mut rng = self.fork_rng();
             let _ = hidden::delete(&self.fs, &shadow_keys, &shadow_obj, &mut rng);
         }
+        self.read_cache.forget_keys(&shadow_physical, &shadow_fak);
     }
 
     /// Rebuild a hidden directory whose header/chain damage exceeds its
@@ -1478,7 +1501,7 @@ impl<D: BlockDevice> StegFs<D> {
             });
         }
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         if let Ok(obj) = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params) {
             if hidden::read(&self.fs, &keys, &obj).is_ok() {
                 return Err(StegError::AlreadyExists(entry.name.clone()));
@@ -1488,7 +1511,7 @@ impl<D: BlockDevice> StegFs<D> {
         // Read the recovery source first: no teardown unless the shadow is
         // actually usable.
         let (shadow_physical, shadow_fak) = Self::shadow_identity(&entry.physical_name, &entry.fak);
-        let shadow_keys = ObjectKeys::derive(&shadow_physical, &shadow_fak);
+        let shadow_keys = self.object_keys(&shadow_physical, &shadow_fak, 0);
         let shadow_obj = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)?;
         let raw = hidden::read(&self.fs, &shadow_keys, &shadow_obj)?;
         let listing = if raw.is_empty() {
@@ -1501,7 +1524,7 @@ impl<D: BlockDevice> StegFs<D> {
         let mut kept = UakDirectory::new();
         let mut dropped = Vec::new();
         for child in listing.entries {
-            let child_keys = ObjectKeys::derive(&child.physical_name, &child.fak);
+            let child_keys = self.object_keys(&child.physical_name, &child.fak, 0);
             if hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params).is_ok() {
                 kept.insert(child)?;
             } else {
@@ -1606,7 +1629,7 @@ impl<D: BlockDevice> StegFs<D> {
         // Create the child object itself.
         let fak = self.generate_fak(child_name);
         let physical_name = format!("{}/{}", parent.physical_name, child_name);
-        let child_keys = ObjectKeys::derive(&physical_name, &fak);
+        let child_keys = self.object_keys(&physical_name, &fak, 0);
         let mut child_obj = hidden::create_with_policy(
             &self.fs,
             &physical_name,
@@ -1752,7 +1775,7 @@ impl<D: BlockDevice> StegFs<D> {
         _parent_shard: TimedMutexGuard<'_, ()>,
         _child_shard: Option<TimedMutexGuard<'_, ()>>,
     ) -> StegResult<DirectoryEntry> {
-        let child_keys = ObjectKeys::derive(&child.physical_name, &child.fak);
+        let child_keys = self.object_keys(&child.physical_name, &child.fak, 0);
         let child_obj = hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params)?;
         if child.kind == ObjectKind::Directory {
             self.ensure_hidden_dir_empty(&child_keys, &child_obj, &child.name)?;
@@ -1763,7 +1786,7 @@ impl<D: BlockDevice> StegFs<D> {
         self.save_listing_locked(parent, &children)?;
         let mut rng = self.fork_rng();
         let result = hidden::delete(&self.fs, &child_keys, &child_obj, &mut rng);
-        self.read_cache.invalidate(child_keys.signature());
+        self.forget_object(&child);
         result?;
         if child.kind == ObjectKind::Directory {
             self.delete_shadow_listing(&child.physical_name, &child.fak);
@@ -1800,8 +1823,7 @@ impl<D: BlockDevice> StegFs<D> {
             .remove(old)
             .ok_or_else(|| StegError::NotFound(old.to_string()))?;
         entry.name = new.to_string();
-        self.read_cache
-            .invalidate(ObjectKeys::derive(&entry.physical_name, &entry.fak).signature());
+        self.forget_object(&entry);
         children.insert(entry)?;
         self.save_listing_locked(parent, &children)?;
         self.session.lock().disconnect(old);
@@ -1879,7 +1901,8 @@ impl<D: BlockDevice> StegFs<D> {
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
 
         // Read the current contents with the old key.
-        let old_keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let scope = Self::session_scope(uak);
+        let old_keys = self.object_keys(&entry.physical_name, &entry.fak, scope);
         let data = {
             let _obj_lock = self.object_guard(&entry.physical_name);
             let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
@@ -1890,7 +1913,7 @@ impl<D: BlockDevice> StegFs<D> {
         let revision = self.fak_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
-        let new_keys = ObjectKeys::derive(&physical_name, &fak);
+        let new_keys = self.object_keys(&physical_name, &fak, scope);
         let mut new_obj = hidden::create(
             &self.fs,
             &physical_name,
@@ -1914,7 +1937,7 @@ impl<D: BlockDevice> StegFs<D> {
             let _obj_lock = self.object_guard(&entry.physical_name);
             let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
             let result = hidden::delete(&self.fs, &old_keys, &old_obj, &mut rng);
-            self.read_cache.invalidate(old_keys.signature());
+            self.forget_object(&entry);
             result?;
         }
 

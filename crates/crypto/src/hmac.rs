@@ -14,9 +14,15 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// The key is absorbed once, in [`HmacSha256::new`]: both the inner
+/// (`key ⊕ ipad`) and the outer (`key ⊕ opad`) SHA-256 states are
+/// compressed up front, so [`crate::kdf`] can run each PBKDF2 iteration
+/// straight from the keyed states in two compressions instead of four
+/// (RFC 8018's pre-keyed PRF).
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -39,10 +45,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb more message bytes.
@@ -53,10 +58,16 @@ impl HmacSha256 {
     /// Finish and return the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+        self.outer.finish_after_block(&inner_digest)
+    }
+
+    /// The tag of a 32-byte `message` under this key, leaving `self`
+    /// untouched: one compression per half, straight from the pre-keyed
+    /// states.  Only for a keyed value nothing was [`update`](Self::update)d
+    /// into — the PBKDF2 inner loop's shape.
+    pub(crate) fn tag_digest(&self, message: &[u8; DIGEST_LEN]) -> [u8; DIGEST_LEN] {
+        let inner_digest = self.inner.finish_after_block(message);
+        self.outer.finish_after_block(&inner_digest)
     }
 }
 
@@ -132,6 +143,15 @@ mod tests {
             mac.update(chunk);
         }
         assert_eq!(mac.finalize(), hmac_sha256(key, &msg));
+    }
+
+    #[test]
+    fn tag_digest_matches_oneshot() {
+        for key in [&b"k"[..], &[0x11u8; 64][..], &[0x22u8; 65][..]] {
+            let keyed = HmacSha256::new(key);
+            let msg = [0x3cu8; DIGEST_LEN];
+            assert_eq!(keyed.tag_digest(&msg), hmac_sha256(key, &msg));
+        }
     }
 
     #[test]

@@ -61,10 +61,13 @@ pub enum Phase {
     /// Read-repair: rewriting damaged shares/replicas after a degraded read
     /// (the convergence work, not the degraded read itself).
     Repair = 11,
+    /// Key stretching: deriving a hidden object's keys from its access key
+    /// on a key-cache miss.
+    Kdf = 12,
 }
 
 /// Number of phases in the taxonomy.
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 13;
 
 /// Static phase labels, indexed by `Phase as usize`.
 pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
@@ -80,6 +83,7 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "cache_hit",
     "cache_miss",
     "repair",
+    "kdf",
 ];
 
 /// Every phase, in index order (for fixed-shape iteration).
@@ -96,6 +100,7 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::CacheHit,
     Phase::CacheMiss,
     Phase::Repair,
+    Phase::Kdf,
 ];
 
 impl Phase {

@@ -242,6 +242,132 @@ fn disconnect_all_and_unmount_purge_at_core_level() {
 }
 
 // ----------------------------------------------------------------------
+// Key cache: stretched keys live exactly as long as a session may use them
+// ----------------------------------------------------------------------
+
+#[test]
+fn stretched_keys_die_at_signoff_disconnect_all_and_unmount() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), cached_params()).unwrap();
+    let s = vfs.signon(OWNER);
+    for i in 0..3 {
+        let path = format!("/hidden/keyed-{i}");
+        let h = vfs.open(s, &path, OpenOptions::read_write()).unwrap();
+        vfs.write_at(h, 0, &payload(i, 5_000)).unwrap();
+        vfs.close(h).unwrap();
+        let h = vfs.open(s, &path, OpenOptions::read_only()).unwrap();
+        assert_eq!(vfs.read_at(h, 0, 5_000).unwrap(), payload(i, 5_000));
+        vfs.close(h).unwrap();
+    }
+    let stats = vfs.cache_stats();
+    assert!(stats.resident_keys > 0, "opens must cache keys: {stats:?}");
+    assert!(stats.key_hits > 0, "re-opens must hit: {stats:?}");
+
+    vfs.signoff(s).unwrap();
+    let stats = vfs.cache_stats();
+    assert_eq!(stats.resident_keys, 0, "sign-off left keys: {stats:?}");
+
+    // disconnect_all: the volume-wide purge at core level.
+    let fs = vfs.into_stegfs();
+    assert_eq!(
+        fs.read_hidden_with_key("keyed-0", OWNER).unwrap(),
+        payload(0, 5_000)
+    );
+    assert!(fs.cache_stats().resident_keys > 0);
+    fs.disconnect_all();
+    assert_eq!(fs.cache_stats().resident_keys, 0);
+
+    // Unmount consumes the volume, so observe its purge through the
+    // observability registry that outlives it, then remount.
+    let _ = fs.read_hidden_with_key("keyed-1", OWNER).unwrap();
+    assert!(fs.cache_stats().resident_keys > 0);
+    let obs = std::sync::Arc::clone(fs.obs());
+    let purges_before = obs.readcache.summary().zeroize_ns.count;
+    let dev = fs.unmount().unwrap();
+    assert_eq!(
+        obs.readcache.summary().zeroize_ns.count,
+        purges_before + 1,
+        "unmount must purge (and zero) the cache"
+    );
+    let fs = StegFs::mount(dev, cached_params()).unwrap();
+    assert_eq!(fs.cache_stats().resident_keys, 0);
+    assert_eq!(
+        fs.read_hidden_with_key("keyed-2", OWNER).unwrap(),
+        payload(2, 5_000)
+    );
+}
+
+#[test]
+fn other_sessions_keys_stay_warm_across_a_signoff() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), cached_params()).unwrap();
+    let alice = vfs.signon("alice's access key");
+    let bob = vfs.signon("bob's access key");
+    for (session, path) in [(alice, "/hidden/a"), (bob, "/hidden/b")] {
+        let h = vfs.open(session, path, OpenOptions::read_write()).unwrap();
+        vfs.write_at(h, 0, &payload(7, 3_000)).unwrap();
+        vfs.close(h).unwrap();
+    }
+
+    vfs.signoff(alice).unwrap();
+    let before = vfs.cache_stats();
+    assert!(
+        before.resident_keys > 0,
+        "bob's keys were swept: {before:?}"
+    );
+    let h = vfs
+        .open(bob, "/hidden/b", OpenOptions::read_only())
+        .unwrap();
+    assert_eq!(vfs.read_at(h, 0, 3_000).unwrap(), payload(7, 3_000));
+    vfs.close(h).unwrap();
+    let after = vfs.cache_stats();
+    assert_eq!(
+        after.key_misses, before.key_misses,
+        "bob had to re-stretch after alice left: {after:?}"
+    );
+    assert!(after.key_hits > before.key_hits);
+    vfs.signoff(bob).unwrap();
+    assert_eq!(vfs.cache_stats().resident_keys, 0);
+}
+
+#[test]
+fn wrong_key_open_fails_alike_before_and_after_a_right_key_open() {
+    let vfs = Vfs::format(MemBlockDevice::new(1024, 8192), cached_params()).unwrap();
+    let owner = vfs.signon(OWNER);
+    let intruder = vfs.signon("a key that owns nothing");
+    let h = vfs
+        .open(owner, "/hidden/target", OpenOptions::read_write())
+        .unwrap();
+    vfs.write_at(h, 0, &payload(8, 2_000)).unwrap();
+    vfs.close(h).unwrap();
+
+    let before = vfs
+        .open(intruder, "/hidden/target", OpenOptions::read_only())
+        .unwrap_err();
+    assert!(before.is_not_found(), "{before:?}");
+
+    // The right key warms every cache for this name: keys, header, blocks.
+    let h = vfs
+        .open(owner, "/hidden/target", OpenOptions::read_only())
+        .unwrap();
+    assert_eq!(vfs.read_at(h, 0, 2_000).unwrap(), payload(8, 2_000));
+    vfs.close(h).unwrap();
+
+    let after = vfs
+        .open(intruder, "/hidden/target", OpenOptions::read_only())
+        .unwrap_err();
+    assert!(after.is_not_found(), "{after:?}");
+    assert_eq!(before.to_string(), after.to_string());
+    // ...and at core level, under the wrong key, straight after a right-key
+    // read of the same name.
+    let fs = vfs.into_stegfs();
+    let _ = fs.read_hidden_with_key("target", OWNER).unwrap();
+    assert!(fs
+        .open_hidden("target", "a key that owns nothing")
+        .err()
+        .expect("wrong key must not open")
+        .is_not_found());
+}
+
+// ----------------------------------------------------------------------
 // Crash + remount: the cache never survives a mount
 // ----------------------------------------------------------------------
 
