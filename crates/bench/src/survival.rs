@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use stegfs_blockdev::{CorruptingDevice, FlakyDevice, MemBlockDevice, RetryDevice};
 use stegfs_core::crypt::ObjectKeys;
+use stegfs_core::readcache::ReadCache;
 use stegfs_core::{hidden, ObjectKind, Policy, StegFs, StegParams};
 use stegfs_survival::scavenge;
 
@@ -156,7 +157,15 @@ fn xorshift(state: &mut u64) -> u64 {
 fn metadata_groups(fs: &StegFs<CorruptingDevice<MemBlockDevice>>, name: &str) -> Vec<Vec<u64>> {
     let entry = fs.lookup_entry(name, UAK).expect("entry");
     let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
-    let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).expect("open");
+    // The damage map must name the blocks on disk, not a cached header's.
+    let ctx = hidden::ObjectCtx {
+        fs: fs.plain_fs(),
+        keys: &keys,
+        params: fs.params(),
+        cache: ReadCache::disabled(),
+        health: None,
+    };
+    let obj = hidden::open(&ctx, &entry.physical_name).expect("open");
     let mut groups = Vec::new();
     if obj.header.header_replicas.is_empty() {
         groups.push(vec![obj.header_block]);

@@ -18,6 +18,18 @@
 //! shares on checksum mismatch, and [`repair`] rewrites damaged shares from
 //! the survivors.  On the raw device shares are indistinguishable from any
 //! other hidden block.
+//!
+//! # One function per operation
+//!
+//! The life cycle of §3 — find the header through the keyed candidate
+//! sequence, walk the inode chain, read or write blocks through the free
+//! pool — has exactly one public function per operation: [`create`],
+//! [`open`], [`read`], [`read_range`], [`write()`], [`write_range`] and
+//! [`resize`].  Each takes an [`ObjectCtx`]: the volume, the object's keys,
+//! the volume parameters, the read cache and an optional [`ReadHealth`]
+//! signal.  There is no uncached variant: a caller that must see the disk
+//! passes [`ReadCache::disabled`] (see [`crate::readcache`] for who does and
+//! why), and a caller that will not queue a repair passes `health: None`.
 
 use crate::coding::{self, Policy};
 use crate::crypt::ObjectKeys;
@@ -57,7 +69,35 @@ impl HiddenObject {
     }
 }
 
-/// Degradation signal threaded through the `*_observed` read paths: set
+/// What one hidden-object operation runs against.  Every field is a shared
+/// reference, so a context is `Copy`; struct-update syntax
+/// (`ObjectCtx { health: Some(&h), ..ctx }`) varies one field.
+pub struct ObjectCtx<'a, D: BlockDevice> {
+    /// The plain file system holding the object's blocks.
+    pub fs: &'a PlainFs<D>,
+    /// The object's key set: locator seed, block cipher and signature.
+    pub keys: &'a ObjectKeys,
+    /// Volume parameters: the locator probe bound and the free-pool bounds.
+    pub params: &'a StegParams,
+    /// The volume's read cache.  Reads are served from it; it is
+    /// write-through, so every mutation invalidates the object and, on
+    /// success, republishes its new header and extent map.
+    /// [`ReadCache::disabled`] makes every call see the disk.
+    pub cache: &'a ReadCache,
+    /// Raised by [`open`], [`read`] and [`read_range`] when a read succeeded
+    /// only by falling back to redundancy.  The write paths leave it alone.
+    pub health: Option<&'a ReadHealth>,
+}
+
+impl<D: BlockDevice> Clone for ObjectCtx<'_, D> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<D: BlockDevice> Copy for ObjectCtx<'_, D> {}
+
+/// Degradation signal carried by [`ObjectCtx::health`]: set
 /// whenever a read succeeded only by falling back to redundancy — a data
 /// group decoded from fallback shares, a header found at a replica, or a
 /// chain node served by a replica.  The facade turns a raised flag into a
@@ -213,27 +253,20 @@ fn write_encrypted_many<D: BlockDevice>(
 /// the internal free pool is immediately stocked with `FB_max` random blocks.
 /// The header write is one transaction: on a journaled volume a crash either
 /// yields the complete (empty) object or nothing.
+///
+/// The durability `policy` travels in the encrypted header, so it costs
+/// nothing observable: a coded object's creation is indistinguishable from a
+/// plain one's.  Nothing is cached here; the object's first open or write
+/// installs it.
 pub fn create<D: BlockDevice>(
-    fs: &PlainFs<D>,
+    ctx: &ObjectCtx<'_, D>,
     physical_name: &str,
-    keys: &ObjectKeys,
-    kind: ObjectKind,
-    params: &StegParams,
-) -> StegResult<HiddenObject> {
-    create_with_policy(fs, physical_name, keys, kind, Policy::Plain, params)
-}
-
-/// [`create`] with an explicit durability policy.  The policy travels in the
-/// encrypted header, so it costs nothing observable: a coded object's
-/// creation is indistinguishable from a plain one's.
-pub fn create_with_policy<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    physical_name: &str,
-    keys: &ObjectKeys,
     kind: ObjectKind,
     policy: Policy,
-    params: &StegParams,
 ) -> StegResult<HiddenObject> {
+    let ObjectCtx {
+        fs, keys, params, ..
+    } = *ctx;
     policy.validate()?;
     let mut txn = fs.begin_txn();
     let copies = policy.meta_copies();
@@ -290,34 +323,43 @@ pub fn create_with_policy<D: BlockDevice>(
     })
 }
 
-/// Open an existing hidden object by walking the candidate sequence.
+/// Open an existing hidden object.  A cache hit returns the decrypted header
+/// without touching the device (and reports `probes == 0`); a miss walks the
+/// keyed candidate sequence and installs the result.  Misses — wrong-key
+/// lookups included — behave the same with or without a cache, so
+/// deniability is untouched.
+///
+/// Finding the header at a replica instead of its primary block raises
+/// `ctx.health`: the primary was damaged (or claimed by someone who
+/// destroyed it) and redundancy absorbed the loss.  A cache hit skips the
+/// device, so only misses can observe damage.
 pub fn open<D: BlockDevice>(
-    fs: &PlainFs<D>,
+    ctx: &ObjectCtx<'_, D>,
     physical_name: &str,
-    keys: &ObjectKeys,
-    params: &StegParams,
 ) -> StegResult<HiddenObject> {
-    open_observed(fs, physical_name, keys, params, None)
-}
-
-/// [`open`] with a degradation signal: finding the header at a replica
-/// instead of its primary block means the primary was damaged (or claimed
-/// by someone who destroyed it) and redundancy absorbed the loss.
-pub fn open_observed<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    physical_name: &str,
-    keys: &ObjectKeys,
-    params: &StegParams,
-    health: Option<&ReadHealth>,
-) -> StegResult<HiddenObject> {
+    let sig = ctx.keys.signature();
+    if let Some(hit) = ctx.cache.lookup_header(sig) {
+        return Ok(HiddenObject {
+            header_block: hit.header_block,
+            header: hit.header,
+            probes: 0,
+        });
+    }
+    let started = ctx.cache.begin();
     let Located {
         block,
         header,
         probes,
-    } = locate_header(fs, physical_name, keys, params.max_locator_probes)?;
+    } = locate_header(
+        ctx.fs,
+        physical_name,
+        ctx.keys,
+        ctx.params.max_locator_probes,
+    )?;
     if !header.header_replicas.is_empty() && header.header_replicas.first() != Some(&block) {
-        mark(health);
+        mark(ctx.health);
     }
+    ctx.cache.store_header(sig, started, block, header.clone());
     Ok(HiddenObject {
         header_block: block,
         header,
@@ -325,59 +367,18 @@ pub fn open_observed<D: BlockDevice>(
     })
 }
 
-/// [`open`], accelerated by the read cache: a hit returns the decrypted
-/// header without touching the device (and reports `probes == 0`); a miss
-/// walks the locator as usual and installs the result.  Misses — including
-/// wrong-key lookups — behave exactly like [`open`], so deniability is
-/// untouched.
-pub fn open_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    physical_name: &str,
-    keys: &ObjectKeys,
-    params: &StegParams,
-    cache: &ReadCache,
-) -> StegResult<HiddenObject> {
-    open_cached_observed(fs, physical_name, keys, params, cache, None)
-}
-
-/// [`open_cached`] with a degradation signal (see [`open_observed`]).  A
-/// cache hit skips the device entirely, so only misses can observe damage.
-pub fn open_cached_observed<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    physical_name: &str,
-    keys: &ObjectKeys,
-    params: &StegParams,
-    cache: &ReadCache,
-    health: Option<&ReadHealth>,
-) -> StegResult<HiddenObject> {
-    if let Some(hit) = cache.lookup_header(keys.signature()) {
-        return Ok(HiddenObject {
-            header_block: hit.header_block,
-            header: hit.header,
-            probes: 0,
-        });
-    }
-    let started = cache.begin();
-    let obj = open_observed(fs, physical_name, keys, params, health)?;
-    cache.store_header(
-        keys.signature(),
-        started,
-        obj.header_block,
-        obj.header.clone(),
-    );
-    Ok(obj)
-}
-
 /// The extent map of `obj`, from the cache when it still matches the
 /// caller's header, or from a chain walk (whose result is installed).
 /// Returns the entry generation used to tag this object's plaintext blocks.
+/// `health` is `ctx.health` on the read paths and `None` on the write paths.
 fn cached_chain<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &HiddenObject,
-    cache: &ReadCache,
     health: Option<&ReadHealth>,
 ) -> StegResult<(u64, Arc<ExtentList>)> {
+    let ObjectCtx {
+        fs, keys, cache, ..
+    } = *ctx;
     if let Some(hit) = cache.lookup_extents(
         keys.signature(),
         obj.header.inode_chain,
@@ -439,14 +440,15 @@ fn header_matches_disk<D: BlockDevice>(
 /// not-yet-cached `readahead` blocks — in **one** batched device
 /// submission.  Fetched blocks are decrypted once and installed under `gen`.
 /// The returned buffer comes from the scratch pool.
-fn read_blocks_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+fn read_blocks<D: BlockDevice>(
+    ctx: &ObjectCtx<'_, D>,
     gen: u64,
     span: &[u64],
     readahead: &[u64],
-    cache: &ReadCache,
 ) -> StegResult<Vec<u8>> {
+    let ObjectCtx {
+        fs, keys, cache, ..
+    } = *ctx;
     let bs = fs.block_size();
     let mut out = scratch::take(span.len() * bs);
     let mut fetch: Vec<u64> = Vec::new();
@@ -631,17 +633,15 @@ fn read_chain<D: BlockDevice>(
 /// falls back through its remaining shares — again one batch for all
 /// degraded groups — instead of erroring.  A group with fewer than `m`
 /// surviving shares fails closed: the error carries no partial plaintext.
-#[allow(clippy::too_many_arguments)]
 fn decode_groups<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     data_blocks: &[u64],
     share_csums: &[u64],
-    m: usize,
-    n: usize,
+    (m, n): (usize, usize),
     groups: &[usize],
     health: Option<&ReadHealth>,
 ) -> StegResult<Vec<u8>> {
+    let ObjectCtx { fs, keys, .. } = *ctx;
     let bs = fs.block_size();
     if data_blocks.len() != share_csums.len() || !data_blocks.len().is_multiple_of(n) {
         return Err(coding::damage(
@@ -719,19 +719,17 @@ fn decode_groups<D: BlockDevice>(
 /// freshly decoded block is installed under `gen`, so a warm object costs
 /// neither device reads nor Vandermonde solves.  Returns a scratch-pool
 /// buffer of `(last - first + 1)` blocks.
-#[allow(clippy::too_many_arguments)]
 fn read_coded_range<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     gen: u64,
     extents: &ExtentList,
-    m: usize,
-    n: usize,
+    (m, n): (usize, usize),
     first: usize,
     last: usize,
-    cache: &ReadCache,
-    health: Option<&ReadHealth>,
 ) -> StegResult<Vec<u8>> {
+    let ObjectCtx {
+        fs, keys, cache, ..
+    } = *ctx;
     let bs = fs.block_size();
     let logical_count = (extents.data_blocks.len() / n.max(1)) * m;
     if last >= logical_count {
@@ -752,14 +750,12 @@ fn read_coded_range<D: BlockDevice>(
     }
     if !missing.is_empty() {
         let decoded = match decode_groups(
-            fs,
-            keys,
+            ctx,
             &extents.data_blocks,
             &extents.share_csums,
-            m,
-            n,
+            (m, n),
             &missing,
-            health,
+            ctx.health,
         ) {
             Ok(d) => d,
             Err(e) => {
@@ -783,103 +779,51 @@ fn read_coded_range<D: BlockDevice>(
     Ok(out)
 }
 
-/// Read the full contents of a hidden object: one chain walk, then the whole
-/// extent list in one batched submission.
-pub fn read<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &HiddenObject,
-) -> StegResult<Vec<u8>> {
-    read_cached(fs, keys, obj, ReadCache::disabled())
-}
-
-/// [`read`], served through the read cache: a warm object costs neither
-/// device reads nor decryption.
-pub fn read_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &HiddenObject,
-    cache: &ReadCache,
-) -> StegResult<Vec<u8>> {
-    read_cached_observed(fs, keys, obj, cache, None)
-}
-
-/// [`read_cached`] with a degradation signal: any fallback decode or chain
-/// replica fallback raises `health` so the caller can queue a read-repair.
-pub fn read_cached_observed<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &HiddenObject,
-    cache: &ReadCache,
-    health: Option<&ReadHealth>,
-) -> StegResult<Vec<u8>> {
-    let (gen, extents) = cached_chain(fs, keys, obj, cache, health)?;
-    let mut out = if let Some((m, n)) = obj.header.policy.coding() {
+/// Read the full contents of a hidden object: one chain walk (or a cached
+/// extent map), then every block not already cached in one batched
+/// submission.  A warm object costs neither device reads nor decryption.
+/// Any fallback decode or chain-replica fallback raises `ctx.health` so the
+/// caller can queue a read-repair.
+pub fn read<D: BlockDevice>(ctx: &ObjectCtx<'_, D>, obj: &HiddenObject) -> StegResult<Vec<u8>> {
+    let (gen, extents) = cached_chain(ctx, obj, ctx.health)?;
+    let mut out = if let Some(coding) = obj.header.policy.coding() {
         if obj.header.size == 0 {
             return Ok(Vec::new());
         }
-        let last = (obj.header.size as usize - 1) / fs.block_size();
-        read_coded_range(fs, keys, gen, &extents, m, n, 0, last, cache, health)?
+        let last = (obj.header.size as usize - 1) / ctx.fs.block_size();
+        read_coded_range(ctx, gen, &extents, coding, 0, last)?
     } else {
-        read_blocks_cached(fs, keys, gen, &extents.data_blocks, &[], cache)?
+        read_blocks(ctx, gen, &extents.data_blocks, &[])?
     };
     out.truncate(obj.header.size as usize);
     Ok(out)
 }
 
-/// Read `len` bytes starting at `offset` (clamped to the object size).
+/// Read `len` bytes starting at `offset` (clamped to the object size), with
+/// optional streaming readahead: up to `readahead_blocks` blocks past the
+/// requested range ride along in the same batched submission and land in
+/// the plaintext cache, so a sequential scan pays one device round-trip per
+/// readahead window instead of one per request.  Raises `ctx.health` like
+/// [`read`].
 pub fn read_range<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &HiddenObject,
-    offset: u64,
-    len: usize,
-) -> StegResult<Vec<u8>> {
-    read_range_cached(fs, keys, obj, offset, len, 0, ReadCache::disabled())
-}
-
-/// [`read_range`], served through the read cache, with optional streaming
-/// readahead: up to `readahead_blocks` blocks past the requested range ride
-/// along in the same batched submission and land in the plaintext cache, so
-/// a sequential scan pays one device round-trip per readahead window
-/// instead of one per request.
-pub fn read_range_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &HiddenObject,
     offset: u64,
     len: usize,
     readahead_blocks: usize,
-    cache: &ReadCache,
-) -> StegResult<Vec<u8>> {
-    read_range_cached_observed(fs, keys, obj, offset, len, readahead_blocks, cache, None)
-}
-
-/// [`read_range_cached`] with a degradation signal (see
-/// [`read_cached_observed`]).
-#[allow(clippy::too_many_arguments)]
-pub fn read_range_cached_observed<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &HiddenObject,
-    offset: u64,
-    len: usize,
-    readahead_blocks: usize,
-    cache: &ReadCache,
-    health: Option<&ReadHealth>,
 ) -> StegResult<Vec<u8>> {
     if len == 0 || offset >= obj.header.size {
         return Ok(Vec::new());
     }
     let end = (offset + len as u64).min(obj.header.size);
-    let bs = fs.block_size() as u64;
-    let (gen, extents) = cached_chain(fs, keys, obj, cache, health)?;
+    let bs = ctx.fs.block_size() as u64;
+    let (gen, extents) = cached_chain(ctx, obj, ctx.health)?;
     let first = (offset / bs) as usize;
     let last = ((end - 1) / bs) as usize;
-    if let Some((m, n)) = obj.header.policy.coding() {
+    if let Some(coding) = obj.header.policy.coding() {
         // Decoding already brings in whole groups of `m` blocks (which the
         // cache keeps), so there is no separate readahead window.
-        let plain = read_coded_range(fs, keys, gen, &extents, m, n, first, last, cache, health)?;
+        let plain = read_coded_range(ctx, gen, &extents, coding, first, last)?;
         let from = (offset - first as u64 * bs) as usize;
         let to = (end - first as u64 * bs) as usize;
         let out = plain[from..to].to_vec();
@@ -893,7 +837,7 @@ pub fn read_range_cached_observed<D: BlockDevice>(
         ))
     })?;
     // Readahead only pays off when the prefetched plaintext can be kept.
-    let readahead = if cache.enabled() && readahead_blocks > 0 {
+    let readahead = if ctx.cache.enabled() && readahead_blocks > 0 {
         let ra_end = (last + 1)
             .saturating_add(readahead_blocks)
             .min(data_blocks.len());
@@ -903,7 +847,7 @@ pub fn read_range_cached_observed<D: BlockDevice>(
     };
     // One batched submission covers the whole extent of the range (plus the
     // readahead window).
-    let plain = read_blocks_cached(fs, keys, gen, span, readahead, cache)?;
+    let plain = read_blocks(ctx, gen, span, readahead)?;
     let from = (offset - first as u64 * bs) as usize;
     let to = (end - first as u64 * bs) as usize;
     let out = plain[from..to].to_vec();
@@ -917,31 +861,20 @@ pub fn read_range_cached_observed<D: BlockDevice>(
 /// block granularity).  Takes `&mut` because a coded patch under replicated
 /// metadata refreshes the header's chain checksum (see
 /// `write_range_coded`); plain objects leave the header untouched.
+///
+/// The extent map comes from the cache when warm, and since an in-place
+/// patch leaves the chain untouched the *same* extent list is re-installed
+/// after the commit — only the plaintext blocks drop (their generation dies
+/// with the invalidation), which is exactly the set the patch made stale.
+/// Coded objects rewrite their chain nodes' checksums, so their entry is
+/// invalidated without a re-install (the next operation walks cold).
 pub fn write_range<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     offset: u64,
     data: &[u8],
 ) -> StegResult<()> {
-    write_range_cached(fs, keys, obj, offset, data, ReadCache::disabled())
-}
-
-/// [`write_range`], accelerated by the read cache: the extent map comes
-/// from the cache when warm, and since an in-place patch leaves the chain
-/// untouched the *same* extent list is re-installed after the commit — only
-/// the plaintext blocks drop (their generation dies with the invalidation),
-/// which is exactly the set the patch made stale.  Coded objects rewrite
-/// their chain nodes' checksums, so their entry is invalidated without a
-/// re-install (the next operation walks cold).
-pub fn write_range_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &mut HiddenObject,
-    offset: u64,
-    data: &[u8],
-    cache: &ReadCache,
-) -> StegResult<()> {
+    let sig = ctx.keys.signature();
     if data.is_empty() {
         return Ok(());
     }
@@ -952,32 +885,32 @@ pub fn write_range_cached<D: BlockDevice>(
             maximum: obj.header.size,
         }));
     }
-    if let Some((m, n)) = obj.header.policy.coding() {
-        let result = write_range_coded(fs, keys, obj, offset, data, m, n);
-        cache.invalidate(keys.signature());
+    if let Some(coding) = obj.header.policy.coding() {
+        let result = write_range_coded(ctx, obj, offset, data, coding);
+        ctx.cache.invalidate(sig);
         return result;
     }
-    let (_, extents) = match cached_chain(fs, keys, obj, cache, None) {
+    let (_, extents) = match cached_chain(ctx, obj, None) {
         Ok(hit) => hit,
         Err(e) => {
-            cache.invalidate(keys.signature());
+            ctx.cache.invalidate(sig);
             return Err(e);
         }
     };
-    let outcome = write_range_plain(fs, keys, offset, data, &extents.data_blocks)
+    let outcome = write_range_plain(ctx, offset, data, &extents.data_blocks)
         .map(|()| extents.as_ref().clone());
-    republish(keys, obj, outcome, cache)
+    republish(ctx, obj, outcome)
 }
 
 /// The in-place patch core of [`write_range`] for plain objects, against an
 /// already-resolved extent list.
 fn write_range_plain<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     offset: u64,
     data: &[u8],
     data_blocks: &[u64],
 ) -> StegResult<()> {
+    let ObjectCtx { fs, keys, .. } = *ctx;
     let end = offset + data.len() as u64;
     let bs = fs.block_size() as u64;
     let first = (offset / bs) as usize;
@@ -1020,14 +953,13 @@ fn write_range_plain<D: BlockDevice>(
 /// affected node back to the head and into the header (`chain_csum`) — which
 /// is why this path takes `&mut` and refreshes the caller's header snapshot.
 fn write_range_coded<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     offset: u64,
     data: &[u8],
-    m: usize,
-    n: usize,
+    (m, n): (usize, usize),
 ) -> StegResult<()> {
+    let ObjectCtx { fs, keys, .. } = *ctx;
     let bs = fs.block_size();
     let end = offset + data.len() as u64;
     let copies = effective_meta_copies(&obj.header);
@@ -1049,7 +981,7 @@ fn write_range_coded<D: BlockDevice>(
         )));
     }
     let groups: Vec<usize> = (g0..=g1).collect();
-    let mut plain = decode_groups(fs, keys, &data_blocks, &share_csums, m, n, &groups, None)?;
+    let mut plain = decode_groups(ctx, &data_blocks, &share_csums, (m, n), &groups, None)?;
     let from = (offset - g0 as u64 * group_bytes) as usize;
     plain[from..from + data.len()].copy_from_slice(data);
     let (payload, new_csums) = coding::encode_groups(&plain, bs, m, n);
@@ -1159,53 +1091,38 @@ fn take_block<D: BlockDevice>(
 /// the paper's workload).  Old data and chain blocks are recycled through the
 /// free pool; new blocks are drawn from the pool first and then from random
 /// free space.
+///
+/// The old incarnation's extent map — the chain walk every rewrite starts
+/// with — comes from the cache when warm, so a warm rewrite does **zero
+/// chain-walk I/O**.  After the commit the object's entry is invalidated
+/// and the *new* header + extent list are installed in its place
+/// (invalidate-on-publish: plaintext blocks of the old incarnation die with
+/// its generation), so the next read *or* write of the object is warm too.
+/// A failed write only invalidates.
 pub fn write<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     data: &[u8],
-    params: &StegParams,
     rng: &mut DeterministicRng,
 ) -> StegResult<()> {
-    write_cached(fs, keys, obj, data, params, rng, ReadCache::disabled())
-}
-
-/// [`write()`], accelerated by the read cache: the old incarnation's extent
-/// map — the chain walk every rewrite starts with — comes from the cache
-/// when warm, so a warm rewrite does **zero chain-walk I/O**.  After the
-/// commit the object's entry is invalidated and the *new* header + extent
-/// list are installed in its place (invalidate-on-publish: plaintext blocks
-/// of the old incarnation die with its generation), so the next read *or*
-/// write of the object is warm too.  A failed write only invalidates.
-pub fn write_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &mut HiddenObject,
-    data: &[u8],
-    params: &StegParams,
-    rng: &mut DeterministicRng,
-    cache: &ReadCache,
-) -> StegResult<()> {
-    let (old_data, old_chain) = match chain_for_update(fs, keys, obj, cache) {
+    let (old_data, old_chain) = match chain_for_update(ctx, obj) {
         Ok(chain) => chain,
         Err(e) => {
-            cache.invalidate(keys.signature());
+            ctx.cache.invalidate(ctx.keys.signature());
             return Err(e);
         }
     };
-    let outcome = write_with_extents(fs, keys, obj, data, params, rng, old_data, old_chain);
-    republish(keys, obj, outcome, cache)
+    let outcome = write_with_extents(ctx, obj, data, rng, old_data, old_chain);
+    republish(ctx, obj, outcome)
 }
 
 /// The old chain of an object about to be rewritten: from the extent cache
 /// when warm (zero chain-walk I/O), from the disk walk otherwise.
 fn chain_for_update<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &HiddenObject,
-    cache: &ReadCache,
 ) -> StegResult<(Vec<u64>, Vec<u64>)> {
-    let (_, extents) = cached_chain(fs, keys, obj, cache, None)?;
+    let (_, extents) = cached_chain(ctx, obj, None)?;
     Ok((extents.data_blocks.clone(), extents.chain_blocks.clone()))
 }
 
@@ -1215,17 +1132,17 @@ fn chain_for_update<D: BlockDevice>(
 /// failed mutation the entry is only dropped — on an unjournaled volume the
 /// failure may have torn the object, and even on a journaled one the header
 /// snapshot in `obj` is no longer vouched for.
-fn republish(
-    keys: &ObjectKeys,
+fn republish<D: BlockDevice>(
+    ctx: &ObjectCtx<'_, D>,
     obj: &HiddenObject,
     outcome: StegResult<ExtentList>,
-    cache: &ReadCache,
 ) -> StegResult<()> {
-    cache.invalidate(keys.signature());
+    let sig = ctx.keys.signature();
+    ctx.cache.invalidate(sig);
     let extents = outcome?;
-    let started = cache.begin();
-    cache.store_extents(
-        keys.signature(),
+    let started = ctx.cache.begin();
+    ctx.cache.store_extents(
+        sig,
         started,
         obj.header_block,
         obj.header.clone(),
@@ -1234,20 +1151,20 @@ fn republish(
     Ok(())
 }
 
-/// The rewrite core of [`write()`] / [`write_cached`], against an
-/// already-resolved old chain (`old_data`, `old_chain`).  Returns the new
-/// incarnation's extent list on success (with `obj.header` updated).
-#[allow(clippy::too_many_arguments)]
+/// The rewrite core of [`write()`], against an already-resolved old chain
+/// (`old_data`, `old_chain`).  Returns the new incarnation's extent list on
+/// success (with `obj.header` updated).
 fn write_with_extents<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     data: &[u8],
-    params: &StegParams,
     rng: &mut DeterministicRng,
     old_data: Vec<u64>,
     old_chain: Vec<u64>,
 ) -> StegResult<ExtentList> {
+    let ObjectCtx {
+        fs, keys, params, ..
+    } = *ctx;
     let bs = fs.block_size();
     let total = fs.superblock().total_blocks;
     let coded = obj.header.policy.is_coded();
@@ -1469,28 +1386,15 @@ fn top_up_pool<D: BlockDevice>(
 /// byte beyond `size` is zero — [`write()`](self::write) pads with zeros and the shrink
 /// path below re-zeroes, so a later extension exposes zeros, never stale
 /// plaintext.
+///
+/// The old chain comes from the cache when warm, and the new header +
+/// extent list are installed after the commit (same invalidate-on-publish
+/// contract as [`write()`](self::write)).
 pub fn resize<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     new_len: u64,
-    params: &StegParams,
     rng: &mut DeterministicRng,
-) -> StegResult<()> {
-    resize_cached(fs, keys, obj, new_len, params, rng, ReadCache::disabled())
-}
-
-/// [`resize`], accelerated by the read cache: the old chain comes from the
-/// cache when warm, and the new header + extent list are installed after
-/// the commit (same invalidate-on-publish contract as [`write_cached`]).
-pub fn resize_cached<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
-    obj: &mut HiddenObject,
-    new_len: u64,
-    params: &StegParams,
-    rng: &mut DeterministicRng,
-    cache: &ReadCache,
 ) -> StegResult<()> {
     let old_len = obj.header.size;
     if new_len == old_len {
@@ -1498,32 +1402,32 @@ pub fn resize_cached<D: BlockDevice>(
     }
     if obj.header.policy.is_coded() {
         // Re-encodes through the full write path, which republishes itself.
-        return resize_coded(fs, keys, obj, new_len, params, rng, cache);
+        return resize_coded(ctx, obj, new_len, rng);
     }
-    let (old_data, old_chain) = match chain_for_update(fs, keys, obj, cache) {
+    let (old_data, old_chain) = match chain_for_update(ctx, obj) {
         Ok(chain) => chain,
         Err(e) => {
-            cache.invalidate(keys.signature());
+            ctx.cache.invalidate(ctx.keys.signature());
             return Err(e);
         }
     };
-    let outcome = resize_with_extents(fs, keys, obj, new_len, params, rng, old_data, old_chain);
-    republish(keys, obj, outcome, cache)
+    let outcome = resize_with_extents(ctx, obj, new_len, rng, old_data, old_chain);
+    republish(ctx, obj, outcome)
 }
 
 /// The plain-object core of [`resize`], against an already-resolved old
 /// chain.  Returns the new incarnation's extent list on success.
-#[allow(clippy::too_many_arguments)]
 fn resize_with_extents<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     new_len: u64,
-    params: &StegParams,
     rng: &mut DeterministicRng,
     old_data: Vec<u64>,
     old_chain: Vec<u64>,
 ) -> StegResult<ExtentList> {
+    let ObjectCtx {
+        fs, keys, params, ..
+    } = *ctx;
     let old_len = obj.header.size;
     let bs = fs.block_size() as u64;
     let new_count = new_len.div_ceil(bs);
@@ -1612,14 +1516,12 @@ fn resize_with_extents<D: BlockDevice>(
 /// plain path's `O(change)`.  The capacity pre-check runs before any
 /// plaintext is materialised, so an absurd growth request fails cleanly.
 fn resize_coded<D: BlockDevice>(
-    fs: &PlainFs<D>,
-    keys: &ObjectKeys,
+    ctx: &ObjectCtx<'_, D>,
     obj: &mut HiddenObject,
     new_len: u64,
-    params: &StegParams,
     rng: &mut DeterministicRng,
-    cache: &ReadCache,
 ) -> StegResult<()> {
+    let fs = ctx.fs;
     let bs = fs.block_size() as u64;
     let (m, n) = obj.header.policy.shares();
     let groups = new_len.div_ceil(bs * m as u64);
@@ -1627,7 +1529,7 @@ fn resize_coded<D: BlockDevice>(
     let copies = effective_meta_copies(&obj.header) as u64;
     let cap = InodeChainBlock::capacity_meta(fs.block_size(), true, copies as usize).max(1) as u64;
     let chain_needed = needed.div_ceil(cap) * copies;
-    let (old_data, old_chain) = chain_for_update(fs, keys, obj, cache)?;
+    let (old_data, old_chain) = chain_for_update(ctx, obj)?;
     let available = fs.free_data_blocks()
         + obj.header.free_pool.len() as u64
         + old_data.len() as u64
@@ -1635,9 +1537,16 @@ fn resize_coded<D: BlockDevice>(
     if available < needed + chain_needed {
         return Err(StegError::NoSpace);
     }
-    let mut data = read_cached(fs, keys, obj, cache)?;
+    // The write paths leave `health` alone, and this read is part of one.
+    let mut data = read(
+        &ObjectCtx {
+            health: None,
+            ..*ctx
+        },
+        obj,
+    )?;
     data.resize(new_len as usize, 0);
-    write_cached(fs, keys, obj, &data, params, rng, cache)
+    write(ctx, obj, &data, rng)
 }
 
 /// Outcome of an offline [`repair`] pass over one hidden object.
@@ -1886,19 +1795,34 @@ mod tests {
         (fs, keys, params, rng)
     }
 
+    /// An uncached context with no health signal; tests that exercise the
+    /// cache or the signal override those fields.
+    fn ctx<'a>(
+        fs: &'a PlainFs<MemBlockDevice>,
+        keys: &'a ObjectKeys,
+        params: &'a StegParams,
+    ) -> ObjectCtx<'a, MemBlockDevice> {
+        ObjectCtx {
+            fs,
+            keys,
+            params,
+            cache: ReadCache::disabled(),
+            health: None,
+        }
+    }
+
     #[test]
     fn create_open_roundtrip() {
         let (fs, keys, params, _) = fixture();
         let created = create(
-            &fs,
+            &ctx(&fs, &keys, &params),
             "u1:/secret/budget.xls",
-            &keys,
             ObjectKind::File,
-            &params,
+            Policy::Plain,
         )
         .unwrap();
         assert_eq!(created.header.free_pool.len(), params.free_blocks_max);
-        let opened = open(&fs, "u1:/secret/budget.xls", &keys, &params).unwrap();
+        let opened = open(&ctx(&fs, &keys, &params), "u1:/secret/budget.xls").unwrap();
         assert_eq!(opened.header_block, created.header_block);
         assert_eq!(opened.header, created.header);
         assert_eq!(opened.kind(), ObjectKind::File);
@@ -1908,106 +1832,154 @@ mod tests {
     #[test]
     fn empty_object_reads_empty() {
         let (fs, keys, params, _) = fixture();
-        let obj = create(&fs, "n", &keys, ObjectKind::File, &params).unwrap();
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), Vec::<u8>::new());
+        let obj = create(
+            &ctx(&fs, &keys, &params),
+            "n",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &obj).unwrap(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
     fn write_read_roundtrip_small() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "n", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "n",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             b"hello hidden world",
-            &params,
             &mut rng,
         )
         .unwrap();
         assert_eq!(obj.size(), 18);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), b"hello hidden world");
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &obj).unwrap(),
+            b"hello hidden world"
+        );
         // And through a fresh open.
-        let reopened = open(&fs, "n", &keys, &params).unwrap();
-        assert_eq!(read(&fs, &keys, &reopened).unwrap(), b"hello hidden world");
+        let reopened = open(&ctx(&fs, &keys, &params), "n").unwrap();
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &reopened).unwrap(),
+            b"hello hidden world"
+        );
     }
 
     #[test]
     fn write_read_roundtrip_multi_chain() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "big", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "big",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         // 400 KB needs 400 data blocks -> 4 chain blocks at 1 KB block size.
         let data: Vec<u8> = (0..400 * 1024u32).map(|i| (i % 251) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), data);
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), data);
         assert_eq!(obj.header.data_block_count, 400);
     }
 
     #[test]
     fn read_range_matches_full_read() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "r", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "r",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 256) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
-        assert_eq!(read_range(&fs, &keys, &obj, 0, 100).unwrap(), &data[..100]);
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         assert_eq!(
-            read_range(&fs, &keys, &obj, 1020, 10).unwrap(),
+            read_range(&ctx(&fs, &keys, &params), &obj, 0, 100, 0).unwrap(),
+            &data[..100]
+        );
+        assert_eq!(
+            read_range(&ctx(&fs, &keys, &params), &obj, 1020, 10, 0).unwrap(),
             &data[1020..1030]
         );
         assert_eq!(
-            read_range(&fs, &keys, &obj, 9_990, 100).unwrap(),
+            read_range(&ctx(&fs, &keys, &params), &obj, 9_990, 100, 0).unwrap(),
             &data[9_990..]
         );
-        assert!(read_range(&fs, &keys, &obj, 20_000, 5).unwrap().is_empty());
+        assert!(read_range(&ctx(&fs, &keys, &params), &obj, 20_000, 5, 0)
+            .unwrap()
+            .is_empty());
         // Zero-length reads are empty, not an underflow (offset 0 included).
-        assert!(read_range(&fs, &keys, &obj, 0, 0).unwrap().is_empty());
-        assert!(read_range(&fs, &keys, &obj, 1024, 0).unwrap().is_empty());
+        assert!(read_range(&ctx(&fs, &keys, &params), &obj, 0, 0, 0)
+            .unwrap()
+            .is_empty());
+        assert!(read_range(&ctx(&fs, &keys, &params), &obj, 1024, 0, 0)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn write_range_patches_in_place() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "patch", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "patch",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         let data: Vec<u8> = (0..5000u32).map(|i| (i % 256) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let free_before = fs.free_data_blocks();
 
-        write_range(&fs, &keys, &mut obj, 1000, &[0xaa; 200]).unwrap();
+        write_range(&ctx(&fs, &keys, &params), &mut obj, 1000, &[0xaa; 200]).unwrap();
         let mut expected = data.clone();
         expected[1000..1200].copy_from_slice(&[0xaa; 200]);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), expected);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), expected);
         assert_eq!(fs.free_data_blocks(), free_before, "no allocation");
         // Past-EOF patches rejected, empty patches allowed.
-        assert!(write_range(&fs, &keys, &mut obj, 4990, &[0u8; 20]).is_err());
-        write_range(&fs, &keys, &mut obj, 0, &[]).unwrap();
+        assert!(write_range(&ctx(&fs, &keys, &params), &mut obj, 4990, &[0u8; 20]).is_err());
+        write_range(&ctx(&fs, &keys, &params), &mut obj, 0, &[]).unwrap();
     }
 
     #[test]
     fn rewrite_replaces_contents_without_leaking_blocks() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "w", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "w",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         let free_before = fs.free_data_blocks();
 
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![1u8; 100 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![2u8; 50 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
-        write(&fs, &keys, &mut obj, b"tiny", &params, &mut rng).unwrap();
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), b"tiny");
+        write(&ctx(&fs, &keys, &params), &mut obj, b"tiny", &mut rng).unwrap();
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), b"tiny");
 
         // Blocks used now: header + <=1 data + <=1 chain + pool (bounded by
         // FB_max).  Everything else must have been returned to the volume.
@@ -2022,18 +1994,22 @@ mod tests {
     #[test]
     fn free_pool_absorbs_truncation_up_to_fb_max() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "p", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "p",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![7u8; 3 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
         // Shrink to zero: the freed blocks flow into the pool, capped at FB_max.
-        write(&fs, &keys, &mut obj, b"", &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, b"", &mut rng).unwrap();
         assert!(obj.header.free_pool.len() <= params.free_blocks_max);
         assert!(!obj.header.free_pool.is_empty());
         assert_eq!(obj.header.data_block_count, 0);
@@ -2045,16 +2021,20 @@ mod tests {
         let (fs, keys, mut params, mut rng) = fixture();
         params.free_blocks_min = 3;
         params.free_blocks_max = 4;
-        let mut obj = create(&fs, "t", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "t",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         assert_eq!(obj.header.free_pool.len(), 4);
         // Writing 6 blocks of data consumes the whole pool (4) and more, so
         // afterwards the pool must be topped back up to FB_max.
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![1u8; 6 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
@@ -2064,19 +2044,28 @@ mod tests {
     #[test]
     fn resize_preserves_prefix_and_zero_fills() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "rz", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "rz",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
 
         // Shrink to a non-block boundary.
-        resize(&fs, &keys, &mut obj, 2500, &params, &mut rng).unwrap();
+        resize(&ctx(&fs, &keys, &params), &mut obj, 2500, &mut rng).unwrap();
         assert_eq!(obj.size(), 2500);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), &data[..2500]);
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &obj).unwrap(),
+            &data[..2500]
+        );
 
         // Grow again: the cut region must come back as zeros, not as the
         // old plaintext.
-        resize(&fs, &keys, &mut obj, 6000, &params, &mut rng).unwrap();
-        let got = read(&fs, &keys, &obj).unwrap();
+        resize(&ctx(&fs, &keys, &params), &mut obj, 6000, &mut rng).unwrap();
+        let got = read(&ctx(&fs, &keys, &params), &obj).unwrap();
         assert_eq!(&got[..2500], &data[..2500]);
         assert!(
             got[2500..].iter().all(|&b| b == 0),
@@ -2084,20 +2073,24 @@ mod tests {
         );
 
         // Reopen sees the resized state.
-        let reopened = open(&fs, "rz", &keys, &params).unwrap();
+        let reopened = open(&ctx(&fs, &keys, &params), "rz").unwrap();
         assert_eq!(reopened.size(), 6000);
     }
 
     #[test]
     fn resize_does_not_move_existing_data_blocks() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "stable", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "stable",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![9u8; 8 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
@@ -2106,7 +2099,7 @@ mod tests {
             .into_iter()
             .collect();
 
-        resize(&fs, &keys, &mut obj, 64 * 1024, &params, &mut rng).unwrap();
+        resize(&ctx(&fs, &keys, &params), &mut obj, 64 * 1024, &mut rng).unwrap();
         let after: std::collections::HashSet<u64> = owned_blocks(&fs, &keys, &obj)
             .unwrap()
             .into_iter()
@@ -2116,7 +2109,7 @@ mod tests {
         // read instead of set inclusion for them).
         let mut expected = vec![9u8; 8 * 1024];
         expected.extend(vec![0u8; 56 * 1024]);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), expected);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), expected);
         assert!(after.len() > before.len());
     }
 
@@ -2124,18 +2117,30 @@ mod tests {
     fn resize_to_zero_and_no_space() {
         let (fs, keys, params, mut rng) = fixture();
         let free_start = fs.free_data_blocks();
-        let mut obj = create(&fs, "z", &keys, ObjectKind::File, &params).unwrap();
-        write(&fs, &keys, &mut obj, &vec![1u8; 5000], &params, &mut rng).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "z",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        write(
+            &ctx(&fs, &keys, &params),
+            &mut obj,
+            &vec![1u8; 5000],
+            &mut rng,
+        )
+        .unwrap();
 
-        resize(&fs, &keys, &mut obj, 0, &params, &mut rng).unwrap();
+        resize(&ctx(&fs, &keys, &params), &mut obj, 0, &mut rng).unwrap();
         assert_eq!(obj.size(), 0);
         assert_eq!(obj.header.data_block_count, 0);
         assert_eq!(obj.header.inode_chain, NO_BLOCK);
-        assert!(read(&fs, &keys, &obj).unwrap().is_empty());
+        assert!(read(&ctx(&fs, &keys, &params), &obj).unwrap().is_empty());
 
         // An absurd growth request fails cleanly without touching the object.
         assert!(matches!(
-            resize(&fs, &keys, &mut obj, u64::MAX / 2, &params, &mut rng),
+            resize(&ctx(&fs, &keys, &params), &mut obj, u64::MAX / 2, &mut rng),
             Err(StegError::NoSpace)
         ));
         assert_eq!(obj.size(), 0);
@@ -2148,23 +2153,35 @@ mod tests {
     #[test]
     fn wrong_key_cannot_open_or_read() {
         let (fs, keys, params, mut rng) = fixture();
-        let mut obj = create(&fs, "s", &keys, ObjectKind::File, &params).unwrap();
-        write(&fs, &keys, &mut obj, b"classified", &params, &mut rng).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "s",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, b"classified", &mut rng).unwrap();
         let wrong = ObjectKeys::derive("s", b"wrong key");
-        assert!(open(&fs, "s", &wrong, &params).unwrap_err().is_not_found());
+        assert!(open(&ctx(&fs, &wrong, &params), "s")
+            .unwrap_err()
+            .is_not_found());
     }
 
     #[test]
     fn delete_returns_all_blocks_and_scrubs_header() {
         let (fs, keys, params, mut rng) = fixture();
         let free_before = fs.free_data_blocks();
-        let mut obj = create(&fs, "d", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "d",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![5u8; 40 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
@@ -2173,20 +2190,26 @@ mod tests {
         delete(&fs, &keys, &obj, &mut rng).unwrap();
         assert_eq!(fs.free_data_blocks(), free_before, "all blocks returned");
         // The object can no longer be found.
-        assert!(open(&fs, "d", &keys, &params).unwrap_err().is_not_found());
+        assert!(open(&ctx(&fs, &keys, &params), "d")
+            .unwrap_err()
+            .is_not_found());
     }
 
     #[test]
     fn owned_blocks_accounts_for_everything() {
         let (fs, keys, params, mut rng) = fixture();
         let free_start = fs.free_data_blocks();
-        let mut obj = create(&fs, "o", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "o",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![9u8; 20 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
@@ -2200,13 +2223,17 @@ mod tests {
     fn hidden_blocks_never_appear_in_central_directory() {
         let (fs, keys, params, mut rng) = fixture();
         fs.write_file("/plain.txt", b"visible data").unwrap();
-        let mut obj = create(&fs, "h", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "h",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![3u8; 30 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
@@ -2233,11 +2260,17 @@ mod tests {
         let keys = ObjectKeys::derive("x", b"k");
         let params = StegParams::for_tests();
         let mut rng = DeterministicRng::new(b"r");
-        let mut obj = create(&fs, "x", &keys, ObjectKind::File, &params).unwrap();
+        let mut obj = create(
+            &ctx(&fs, &keys, &params),
+            "x",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
         let free = fs.free_data_blocks();
         let too_big = vec![0u8; ((free + 16) * 1024) as usize];
         assert!(matches!(
-            write(&fs, &keys, &mut obj, &too_big, &params, &mut rng),
+            write(&ctx(&fs, &keys, &params), &mut obj, &too_big, &mut rng),
             Err(StegError::NoSpace)
         ));
     }
@@ -2247,12 +2280,42 @@ mod tests {
         let (fs, _, params, mut rng) = fixture();
         let ka = ObjectKeys::derive("a", b"key-a");
         let kb = ObjectKeys::derive("b", b"key-b");
-        let mut a = create(&fs, "a", &ka, ObjectKind::File, &params).unwrap();
-        let mut b = create(&fs, "b", &kb, ObjectKind::File, &params).unwrap();
-        write(&fs, &ka, &mut a, &vec![0xaa; 10_000], &params, &mut rng).unwrap();
-        write(&fs, &kb, &mut b, &vec![0xbb; 20_000], &params, &mut rng).unwrap();
-        assert_eq!(read(&fs, &ka, &a).unwrap(), vec![0xaa; 10_000]);
-        assert_eq!(read(&fs, &kb, &b).unwrap(), vec![0xbb; 20_000]);
+        let mut a = create(
+            &ctx(&fs, &ka, &params),
+            "a",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        let mut b = create(
+            &ctx(&fs, &kb, &params),
+            "b",
+            ObjectKind::File,
+            Policy::Plain,
+        )
+        .unwrap();
+        write(
+            &ctx(&fs, &ka, &params),
+            &mut a,
+            &vec![0xaa; 10_000],
+            &mut rng,
+        )
+        .unwrap();
+        write(
+            &ctx(&fs, &kb, &params),
+            &mut b,
+            &vec![0xbb; 20_000],
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(
+            read(&ctx(&fs, &ka, &params), &a).unwrap(),
+            vec![0xaa; 10_000]
+        );
+        assert_eq!(
+            read(&ctx(&fs, &kb, &params), &b).unwrap(),
+            vec![0xbb; 20_000]
+        );
         let blocks_a = owned_blocks(&fs, &ka, &a).unwrap();
         let blocks_b = owned_blocks(&fs, &kb, &b).unwrap();
         assert!(blocks_a.iter().all(|x| !blocks_b.contains(x)));
@@ -2281,7 +2344,7 @@ mod tests {
     ) {
         let (fs, _, params, rng) = fixture();
         let keys = ObjectKeys::derive(name, b"coded key");
-        let obj = create_with_policy(&fs, name, &keys, ObjectKind::File, policy, &params).unwrap();
+        let obj = create(&ctx(&fs, &keys, &params), name, ObjectKind::File, policy).unwrap();
         (fs, keys, params, rng, obj)
     }
 
@@ -2294,16 +2357,16 @@ mod tests {
         ] {
             let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "coded");
             let data: Vec<u8> = (0..7 * 1024 + 123u32).map(|i| (i % 253) as u8).collect();
-            write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+            write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
             let (_, n) = policy.shares();
             assert_eq!(obj.header.data_block_count % n as u64, 0);
-            assert_eq!(read(&fs, &keys, &obj).unwrap(), data);
+            assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), data);
             // Through a fresh open too (exercises the coded chain parse).
-            let reopened = open(&fs, "coded", &keys, &params).unwrap();
+            let reopened = open(&ctx(&fs, &keys, &params), "coded").unwrap();
             assert_eq!(reopened.header.policy, policy);
-            assert_eq!(read(&fs, &keys, &reopened).unwrap(), data);
+            assert_eq!(read(&ctx(&fs, &keys, &params), &reopened).unwrap(), data);
             assert_eq!(
-                read_range(&fs, &keys, &reopened, 1000, 3000).unwrap(),
+                read_range(&ctx(&fs, &keys, &params), &reopened, 1000, 3000, 0).unwrap(),
                 &data[1000..4000]
             );
         }
@@ -2314,16 +2377,20 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "lossy");
         let data: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 241) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         // Destroy n - m = 2 shares in *every* group.
         for (g, group) in share_extents(&fs, &keys, &obj).unwrap().iter().enumerate() {
             assert_eq!(group.len(), 4);
             smash(&fs, group[0], g as u8);
             smash(&fs, group[2], g as u8 ^ 0x5a);
         }
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), data, "fallback decode");
         assert_eq!(
-            read_range(&fs, &keys, &obj, 2048, 100).unwrap(),
+            read(&ctx(&fs, &keys, &params), &obj).unwrap(),
+            data,
+            "fallback decode"
+        );
+        assert_eq!(
+            read_range(&ctx(&fs, &keys, &params), &obj, 2048, 100, 0).unwrap(),
             &data[2048..2148]
         );
     }
@@ -2333,21 +2400,21 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 3 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "gone");
         let data = vec![0x42u8; 5 * 1024];
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let groups = share_extents(&fs, &keys, &obj).unwrap();
         // Kill n - m + 1 = 2 shares of group 0: unrecoverable.
         smash(&fs, groups[0][0], 1);
         smash(&fs, groups[0][1], 2);
-        let err = read(&fs, &keys, &obj).unwrap_err();
+        let err = read(&ctx(&fs, &keys, &params), &obj).unwrap_err();
         assert!(
             err.to_string().contains("live shares"),
             "clean error: {err}"
         );
         // No partial plaintext: a range read inside the dead group fails too.
-        assert!(read_range(&fs, &keys, &obj, 0, 10).is_err());
+        assert!(read_range(&ctx(&fs, &keys, &params), &obj, 0, 10, 0).is_err());
         // Other groups remain readable on their own.
         assert_eq!(
-            read_range(&fs, &keys, &obj, 2 * 1024, 1024).unwrap(),
+            read_range(&ctx(&fs, &keys, &params), &obj, 2 * 1024, 1024, 0).unwrap(),
             &data[2 * 1024..3 * 1024]
         );
     }
@@ -2357,7 +2424,7 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "fixme");
         let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 199) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         assert_eq!(repair(&fs, &keys, &obj).unwrap(), RepairOutcome::Intact);
 
         let groups = share_extents(&fs, &keys, &obj).unwrap();
@@ -2375,7 +2442,7 @@ mod tests {
         let mut after = vec![0u8; victims.len() * bs];
         fs.read_raw_blocks_into(&victims, &mut after).unwrap();
         assert_eq!(before, after, "rebuilt shares must be byte-identical");
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), data);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), data);
         assert_eq!(repair(&fs, &keys, &obj).unwrap(), RepairOutcome::Intact);
     }
 
@@ -2384,11 +2451,9 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 3 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "dead");
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![9u8; 3 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
@@ -2414,20 +2479,20 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 3 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "patch2");
         let data: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 256) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let free_before = fs.free_data_blocks();
         // Patch across a group boundary (groups are m * bs = 2 KB here).
-        write_range(&fs, &keys, &mut obj, 1500, &[0xcc; 2000]).unwrap();
+        write_range(&ctx(&fs, &keys, &params), &mut obj, 1500, &[0xcc; 2000]).unwrap();
         let mut expected = data.clone();
         expected[1500..3500].copy_from_slice(&[0xcc; 2000]);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), expected);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), expected);
         assert_eq!(fs.free_data_blocks(), free_before, "no allocation");
         // The checksums the chain now records match the new shares: repair
         // sees an intact object, and damage within tolerance still heals.
         assert_eq!(repair(&fs, &keys, &obj).unwrap(), RepairOutcome::Intact);
         let groups = share_extents(&fs, &keys, &obj).unwrap();
         smash(&fs, groups[0][1], 7);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), expected);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), expected);
     }
 
     #[test]
@@ -2435,16 +2500,19 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 3 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "rz2");
         let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 251) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
-        resize(&fs, &keys, &mut obj, 1500, &params, &mut rng).unwrap();
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), &data[..1500]);
-        resize(&fs, &keys, &mut obj, 4000, &params, &mut rng).unwrap();
-        let got = read(&fs, &keys, &obj).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
+        resize(&ctx(&fs, &keys, &params), &mut obj, 1500, &mut rng).unwrap();
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &obj).unwrap(),
+            &data[..1500]
+        );
+        resize(&ctx(&fs, &keys, &params), &mut obj, 4000, &mut rng).unwrap();
+        let got = read(&ctx(&fs, &keys, &params), &obj).unwrap();
         assert_eq!(&got[..1500], &data[..1500]);
         assert!(got[1500..].iter().all(|&b| b == 0));
         // An absurd growth request fails cleanly before materialising.
         assert!(matches!(
-            resize(&fs, &keys, &mut obj, u64::MAX / 4, &params, &mut rng),
+            resize(&ctx(&fs, &keys, &params), &mut obj, u64::MAX / 4, &mut rng),
             Err(StegError::NoSpace)
         ));
         assert_eq!(obj.size(), 4000);
@@ -2455,19 +2523,49 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "warm");
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 239) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let cache = ReadCache::new(64);
-        assert_eq!(read_cached(&fs, &keys, &obj, &cache).unwrap(), data);
+        assert_eq!(
+            read(
+                &ObjectCtx {
+                    cache: &cache,
+                    ..ctx(&fs, &keys, &params)
+                },
+                &obj
+            )
+            .unwrap(),
+            data
+        );
         // Damage within tolerance, then serve warm: the cache still holds
         // the decoded logical blocks, so the read never sees the damage.
         let groups = share_extents(&fs, &keys, &obj).unwrap();
         for (g, group) in groups.iter().enumerate() {
             smash(&fs, group[0], g as u8);
         }
-        assert_eq!(read_cached(&fs, &keys, &obj, &cache).unwrap(), data);
+        assert_eq!(
+            read(
+                &ObjectCtx {
+                    cache: &cache,
+                    ..ctx(&fs, &keys, &params)
+                },
+                &obj
+            )
+            .unwrap(),
+            data
+        );
         // Cold again: the decode path falls back through surviving shares.
         cache.invalidate(keys.signature());
-        assert_eq!(read_cached(&fs, &keys, &obj, &cache).unwrap(), data);
+        assert_eq!(
+            read(
+                &ObjectCtx {
+                    cache: &cache,
+                    ..ctx(&fs, &keys, &params)
+                },
+                &obj
+            )
+            .unwrap(),
+            data
+        );
     }
 
     #[test]
@@ -2479,17 +2577,17 @@ mod tests {
         let free_before =
             fs.free_data_blocks() + params.free_blocks_max as u64 + policy.meta_copies() as u64;
         write(
-            &fs,
-            &keys,
+            &ctx(&fs, &keys, &params),
             &mut obj,
             &vec![4u8; 9 * 1024],
-            &params,
             &mut rng,
         )
         .unwrap();
         delete(&fs, &keys, &obj, &mut rng).unwrap();
         assert_eq!(fs.free_data_blocks(), free_before);
-        assert!(open(&fs, "bye", &keys, &params).unwrap_err().is_not_found());
+        assert!(open(&ctx(&fs, &keys, &params), "bye")
+            .unwrap_err()
+            .is_not_found());
     }
 
     #[test]
@@ -2497,7 +2595,7 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "hdr");
         let data: Vec<u8> = (0..4 * 1024u32).map(|i| (i % 251) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let replicas = obj.header.header_replicas.clone();
         assert_eq!(replicas.len(), policy.meta_copies());
         assert_eq!(replicas[0], obj.header_block);
@@ -2506,14 +2604,23 @@ mod tests {
         smash(&fs, replicas[0], 1);
         smash(&fs, replicas[1], 2);
         let health = ReadHealth::new();
-        let found = open_observed(&fs, "hdr", &keys, &params, Some(&health)).unwrap();
+        let found = open(
+            &ObjectCtx {
+                health: Some(&health),
+                ..ctx(&fs, &keys, &params)
+            },
+            "hdr",
+        )
+        .unwrap();
         assert_eq!(found.header_block, replicas[2], "served by the survivor");
         assert!(health.is_degraded());
-        assert_eq!(read(&fs, &keys, &found).unwrap(), data);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &found).unwrap(), data);
 
         // One more loss kills the object: no replica left to probe.
         smash(&fs, replicas[2], 3);
-        assert!(open(&fs, "hdr", &keys, &params).unwrap_err().is_not_found());
+        assert!(open(&ctx(&fs, &keys, &params), "hdr")
+            .unwrap_err()
+            .is_not_found());
     }
 
     #[test]
@@ -2521,7 +2628,7 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "chn");
         let data: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 239) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let head = obj.header.inode_chain;
         let spares = obj.header.chain_replicas.clone();
         assert_eq!(spares.len(), policy.meta_copies() - 1);
@@ -2531,14 +2638,22 @@ mod tests {
         let health = ReadHealth::new();
         let cache = ReadCache::disabled();
         assert_eq!(
-            read_cached_observed(&fs, &keys, &obj, cache, Some(&health)).unwrap(),
+            read(
+                &ObjectCtx {
+                    cache,
+                    health: Some(&health),
+                    ..ctx(&fs, &keys, &params)
+                },
+                &obj
+            )
+            .unwrap(),
             data,
             "chain served by its last replica"
         );
         assert!(health.is_degraded());
 
         smash(&fs, spares[1], 3);
-        let err = read(&fs, &keys, &obj).unwrap_err();
+        let err = read(&ctx(&fs, &keys, &params), &obj).unwrap_err();
         assert!(err.to_string().contains("live"), "fails closed: {err}");
     }
 
@@ -2547,12 +2662,27 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "ok");
         let data = vec![7u8; 3 * 1024];
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let health = ReadHealth::new();
-        let found = open_observed(&fs, "ok", &keys, &params, Some(&health)).unwrap();
+        let found = open(
+            &ObjectCtx {
+                health: Some(&health),
+                ..ctx(&fs, &keys, &params)
+            },
+            "ok",
+        )
+        .unwrap();
         let cache = ReadCache::disabled();
         assert_eq!(
-            read_cached_observed(&fs, &keys, &found, cache, Some(&health)).unwrap(),
+            read(
+                &ObjectCtx {
+                    cache,
+                    health: Some(&health),
+                    ..ctx(&fs, &keys, &params)
+                },
+                &found
+            )
+            .unwrap(),
             data
         );
         assert!(!health.is_degraded());
@@ -2563,7 +2693,7 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "meta-fix");
         let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 211) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
         let groups = share_extents(&fs, &keys, &obj).unwrap();
         let victims = [
             obj.header.header_replicas[1],
@@ -2584,7 +2714,7 @@ mod tests {
         fs.read_raw_blocks_into(&victims, &mut after).unwrap();
         assert_eq!(before, after, "metadata rebuilds must be byte-identical");
         assert_eq!(repair(&fs, &keys, &obj).unwrap(), RepairOutcome::Intact);
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), data);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), data);
     }
 
     #[test]
@@ -2592,29 +2722,35 @@ mod tests {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "patch-r");
         let data: Vec<u8> = (0..9 * 1024u32).map(|i| (i % 223) as u8).collect();
-        write(&fs, &keys, &mut obj, &data, &params, &mut rng).unwrap();
-        write_range(&fs, &keys, &mut obj, 4000, &[0xbe; 1500]).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &data, &mut rng).unwrap();
+        write_range(&ctx(&fs, &keys, &params), &mut obj, 4000, &[0xbe; 1500]).unwrap();
         let mut expected = data.clone();
         expected[4000..5500].fill(0xbe);
         // The handle's refreshed header and a fresh keyed open must both walk
         // the cascaded chain cleanly.
-        assert_eq!(read(&fs, &keys, &obj).unwrap(), expected);
-        let reopened = open(&fs, "patch-r", &keys, &params).unwrap();
-        assert_eq!(read(&fs, &keys, &reopened).unwrap(), expected);
+        assert_eq!(read(&ctx(&fs, &keys, &params), &obj).unwrap(), expected);
+        let reopened = open(&ctx(&fs, &keys, &params), "patch-r").unwrap();
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &reopened).unwrap(),
+            expected
+        );
         assert_eq!(
             repair(&fs, &keys, &reopened).unwrap(),
             RepairOutcome::Intact
         );
         // And the patch still tolerates losing any chain replica afterwards.
         smash(&fs, reopened.header.inode_chain, 9);
-        assert_eq!(read(&fs, &keys, &reopened).unwrap(), expected);
+        assert_eq!(
+            read(&ctx(&fs, &keys, &params), &reopened).unwrap(),
+            expected
+        );
     }
 
     #[test]
     fn owned_blocks_cover_every_metadata_replica() {
         let policy = Policy::Disperse { m: 2, n: 4 };
         let (fs, keys, params, mut rng, mut obj) = coded_fixture(policy, "own");
-        write(&fs, &keys, &mut obj, &[5u8; 4096], &params, &mut rng).unwrap();
+        write(&ctx(&fs, &keys, &params), &mut obj, &[5u8; 4096], &mut rng).unwrap();
         let owned = owned_blocks(&fs, &keys, &obj).unwrap();
         for &b in obj
             .header

@@ -79,12 +79,11 @@ pub struct StegParams {
     /// No-op without a journal.  The front-ends consult this at mount time;
     /// [`crate::StegFs::start_checkpoint_daemon`] starts it explicitly.
     pub checkpoint_daemon: bool,
-    /// Capacity (events) of the RAM-only trace ring; `0` disables the ring
-    /// entirely while leaving the rest of the observability registry
-    /// untouched.  The ring wraps when full (overwrites are counted, so
-    /// truncation is visible in snapshots) and zeroizes at sign-off.  Like
-    /// [`obs_enabled`](Self::obs_enabled), the setting never changes what
-    /// reaches the disk.
+    /// Causal-tracing switch: any non-zero value (the default is
+    /// [`TRACE_CAPACITY`](crate::TRACE_CAPACITY)) turns the per-request span
+    /// layer on when [`obs_enabled`](Self::obs_enabled) is set; `0` turns it
+    /// off while leaving the flat metrics untouched.  Like `obs_enabled`,
+    /// the setting never changes what reaches the disk.
     pub trace_capacity: usize,
 }
 

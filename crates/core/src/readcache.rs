@@ -71,10 +71,30 @@
 //!
 //! The cache is coherent for every mutation that goes through
 //! [`crate::StegFs`] — which is every mutation the public API can express.
-//! Writing to a hidden object by calling [`crate::hidden`] functions
-//! directly on the underlying `PlainFs` of a *live, cached* `StegFs`
-//! bypasses invalidation and is unsupported (the same pre-existing rule as
-//! bypassing the object shards).
+//! Every [`crate::hidden`] operation takes its cache in its
+//! [`ObjectCtx`](crate::hidden::ObjectCtx), and the cache is write-through:
+//! each mutation invalidates the object and, on success, republishes its
+//! new header and extent map.  Mutating a hidden object of a *live, cached*
+//! `StegFs` through any cache other than the volume's own bypasses
+//! invalidation and is unsupported (the same rule as bypassing the object
+//! shards).
+//!
+//! # Who reads past the cache
+//!
+//! A few callers must judge what is *on disk*, not what RAM remembers, and
+//! pass [`ReadCache::disabled`]:
+//!
+//! * `StegFs::scavenge_entry` and `StegFs::process_repairs` — repair
+//!   compares every replica and share on disk against the header found on
+//!   disk, and converges the incarnation the disk holds now;
+//! * `StegFs::rebuild_dir_from_shadow` — it decides whether a directory is
+//!   lost, which children still probe, and what to tear down, all from the
+//!   surviving blocks;
+//! * the offline scavenger's damage maps (the survival bench and its
+//!   tests), which must name the blocks the disk really holds.
+//!
+//! They read through the same code as everyone else; only the cache they
+//! pass differs.
 
 use crate::crypt::{ObjectKeys, SIGNATURE_LEN};
 use crate::header::HiddenHeader;
@@ -911,8 +931,9 @@ impl ReadCache {
         }
     }
 
-    /// A shared always-empty cache for callers of the pre-cache `hidden::*`
-    /// API (capacity 0: every lookup misses, every insert is a no-op).
+    /// A shared always-empty cache (capacity 0: every lookup misses, every
+    /// insert is a no-op) for callers that must see the disk; see the
+    /// module docs for who passes it and why.
     pub fn disabled() -> &'static ReadCache {
         static DISABLED: std::sync::OnceLock<ReadCache> = std::sync::OnceLock::new();
         DISABLED.get_or_init(|| ReadCache::new(0))

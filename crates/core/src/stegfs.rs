@@ -47,7 +47,7 @@ use crate::coding::Policy;
 use crate::crypt::ObjectKeys;
 use crate::error::{StegError, StegResult};
 use crate::header::ObjectKind;
-use crate::hidden::{self, HiddenObject};
+use crate::hidden::{self, HiddenObject, ObjectCtx, ReadHealth};
 use crate::keys::{DirectoryEntry, UakDirectory, FAK_LEN, UAK_DIRECTORY_NAME};
 use crate::params::StegParams;
 use crate::readcache::{CacheStats, ReadCache};
@@ -210,6 +210,15 @@ fn shard_index(key: &str, len: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) % len
+}
+
+/// Parse a hidden directory's raw contents (empty = no children yet).
+fn parse_listing(raw: &[u8]) -> StegResult<UakDirectory> {
+    if raw.is_empty() {
+        Ok(UakDirectory::new())
+    } else {
+        Ok(UakDirectory::deserialize(raw)?)
+    }
 }
 
 /// A mounted StegFS volume.
@@ -375,7 +384,7 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// The volume's observability registry: RAM-only histograms, counters
-    /// and the bounded trace ring.  See `stegfs-obs` for the deniability
+    /// and span captures.  See `stegfs-obs` for the deniability
     /// contract (static shapes, no key-derived values, nothing persisted).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
@@ -478,14 +487,56 @@ impl<D: BlockDevice> StegFs<D> {
         })
     }
 
-    /// Drop everything cached for the object behind `entry` — its header,
+    /// Drop everything cached for the object `(physical, fak)` — its header,
     /// extents, plaintext blocks and key set (after a delete, rename or
     /// re-key).
-    fn forget_object(&self, entry: &DirectoryEntry) {
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
+    fn forget_object(&self, physical: &str, fak: &[u8]) {
+        let keys = self.object_keys(physical, fak, 0);
         self.read_cache.invalidate(keys.signature());
-        self.read_cache
-            .forget_keys(&entry.physical_name, &entry.fak);
+        self.read_cache.forget_keys(physical, fak);
+    }
+
+    /// The hidden-core context of one object on this volume: served through
+    /// the volume's read cache, with no degradation signal.
+    fn ctx<'a>(&'a self, keys: &'a ObjectKeys) -> ObjectCtx<'a, D> {
+        ObjectCtx {
+            fs: &self.fs,
+            keys,
+            params: &self.params,
+            cache: &self.read_cache,
+            health: None,
+        }
+    }
+
+    /// The one entry-addressed open: take the object's shard, then run
+    /// [`Self::with_entry_locked`].
+    fn with_entry<T>(
+        &self,
+        entry: &DirectoryEntry,
+        op: impl FnOnce(&Arc<ObjectKeys>, &ObjectCtx<'_, D>, HiddenObject) -> StegResult<T>,
+    ) -> StegResult<T> {
+        let _obj_lock = self.object_guard(&entry.physical_name);
+        self.with_entry_locked(entry, op)
+    }
+
+    /// Derive `entry`'s keys, open its object through the cache with a
+    /// [`ReadHealth`] signal, run `op` on it under the same signal, and
+    /// queue one repair ticket if the open or `op` read degraded.  The
+    /// caller holds the object's shard.
+    fn with_entry_locked<T>(
+        &self,
+        entry: &DirectoryEntry,
+        op: impl FnOnce(&Arc<ObjectKeys>, &ObjectCtx<'_, D>, HiddenObject) -> StegResult<T>,
+    ) -> StegResult<T> {
+        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
+        let health = ReadHealth::new();
+        let ctx = ObjectCtx {
+            health: Some(&health),
+            ..self.ctx(&keys)
+        };
+        let out = hidden::open(&ctx, &entry.physical_name).and_then(|obj| op(&keys, &ctx, obj));
+        self.note_degraded(&entry.physical_name, &entry.fak, &health);
+        out
     }
 
     fn store_config(&self) -> StegResult<()> {
@@ -526,10 +577,11 @@ impl<D: BlockDevice> StegFs<D> {
         for i in 0..self.config.dummy_count {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.object_keys(&name, &fak, 0);
-            let mut obj = hidden::create(&self.fs, &name, &keys, ObjectKind::File, &self.params)?;
+            let ctx = self.ctx(&keys);
+            let mut obj = hidden::create(&ctx, &name, ObjectKind::File, Policy::Plain)?;
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size.min(usize::MAX as u64) as usize);
-            hidden::write(&self.fs, &keys, &mut obj, &content, &self.params, &mut rng)?;
+            hidden::write(&ctx, &mut obj, &content, &mut rng)?;
         }
         Ok(())
     }
@@ -543,22 +595,15 @@ impl<D: BlockDevice> StegFs<D> {
             let (name, fak) = self.dummy_identity(i);
             let keys = self.object_keys(&name, &fak, 0);
             let _obj_lock = self.object_guard(&name);
-            let mut obj = match hidden::open(&self.fs, &name, &keys, &self.params) {
+            let ctx = self.ctx(&keys);
+            let mut obj = match hidden::open(&ctx, &name) {
                 Ok(o) => o,
                 Err(StegError::NotFound(_)) => continue,
                 Err(e) => return Err(e),
             };
             let mut rng = self.fork_rng();
             let content = rng.bytes(self.config.dummy_size as usize);
-            hidden::write_cached(
-                &self.fs,
-                &keys,
-                &mut obj,
-                &content,
-                &self.params,
-                &mut rng,
-                &self.read_cache,
-            )?;
+            hidden::write(&ctx, &mut obj, &content, &mut rng)?;
             touched += 1;
         }
         Ok(touched)
@@ -624,20 +669,10 @@ impl<D: BlockDevice> StegFs<D> {
         // scope (sign-off sweeps exactly this session's entries).
         self.read_cache
             .tag_scope(keys.signature(), Self::session_scope(uak));
-        match hidden::open_cached(
-            &self.fs,
-            UAK_DIRECTORY_NAME,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        ) {
+        let ctx = self.ctx(&keys);
+        match hidden::open(&ctx, UAK_DIRECTORY_NAME) {
             Ok(obj) => {
-                let raw = hidden::read_cached(&self.fs, &keys, &obj, &self.read_cache)?;
-                let dir = if raw.is_empty() {
-                    UakDirectory::new()
-                } else {
-                    UakDirectory::deserialize(&raw)?
-                };
+                let dir = parse_listing(&hidden::read(&ctx, &obj)?)?;
                 Ok((dir, Some(obj)))
             }
             Err(StegError::NotFound(_)) => Ok((UakDirectory::new(), None)),
@@ -653,30 +688,22 @@ impl<D: BlockDevice> StegFs<D> {
         existing: Option<HiddenObject>,
     ) -> StegResult<()> {
         let keys = self.uak_keys(uak);
+        let ctx = self.ctx(&keys);
         let mut obj = match existing {
             Some(obj) => obj,
             None => hidden::create(
-                &self.fs,
+                &ctx,
                 UAK_DIRECTORY_NAME,
-                &keys,
                 ObjectKind::Directory,
-                &self.params,
+                Policy::Plain,
             )?,
         };
         let mut rng = self.fork_rng();
-        // The cache-aware write serves the rewrite's chain walk from the
-        // cached extent map (the directory was just read through it, so the
-        // map is warm), invalidates before touching anything and republishes
-        // the new map on success — a failed attempt leaves a safe miss.
-        hidden::write_cached(
-            &self.fs,
-            &keys,
-            &mut obj,
-            &dir.serialize(),
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )
+        // The rewrite's chain walk comes from the cached extent map (the
+        // directory was just read through it, so the map is warm); the write
+        // invalidates before touching anything and republishes the new map
+        // on success — a failed attempt leaves a safe miss.
+        hidden::write(&ctx, &mut obj, &dir.serialize(), &mut rng)
     }
 
     /// The names (and kinds) of all hidden objects registered under `uak`.
@@ -756,25 +783,12 @@ impl<D: BlockDevice> StegFs<D> {
         let fak = self.generate_fak(objname);
         let physical_name = format!("{}:{}", Self::owner_tag(uak), objname);
         let keys = self.object_keys(&physical_name, &fak, Self::session_scope(uak));
-        let mut obj = hidden::create_with_policy(
-            &self.fs,
-            &physical_name,
-            &keys,
-            kind,
-            policy,
-            &self.params,
-        )?;
+        let ctx = self.ctx(&keys);
+        let mut obj = hidden::create(&ctx, &physical_name, kind, policy)?;
         if kind == ObjectKind::Directory {
             // A hidden directory starts out as an empty child listing.
             let mut rng = self.fork_rng();
-            hidden::write(
-                &self.fs,
-                &keys,
-                &mut obj,
-                &UakDirectory::new().serialize(),
-                &self.params,
-                &mut rng,
-            )?;
+            hidden::write(&ctx, &mut obj, &UakDirectory::new().serialize(), &mut rng)?;
         }
         let _uak_lock = self.uak_guard(uak);
         let (mut dir, existing) = self.load_uak_directory(uak)?;
@@ -784,7 +798,7 @@ impl<D: BlockDevice> StegFs<D> {
             // deleting it returns the blocks with no visible trace.
             let mut rng = self.fork_rng();
             let _ = hidden::delete(&self.fs, &keys, &obj, &mut rng);
-            self.read_cache.forget_keys(&physical_name, &fak);
+            self.forget_object(&physical_name, &fak);
             return Err(StegError::AlreadyExists(objname.to_string()));
         }
         dir.insert(DirectoryEntry {
@@ -804,7 +818,12 @@ impl<D: BlockDevice> StegFs<D> {
     pub fn scavenge_entry(&self, entry: &DirectoryEntry) -> StegResult<hidden::RepairOutcome> {
         let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
+        // Verification must judge the header on disk, not a cached copy.
+        let ctx = ObjectCtx {
+            cache: ReadCache::disabled(),
+            ..self.ctx(&keys)
+        };
+        let obj = hidden::open(&ctx, &entry.physical_name)?;
         let outcome = hidden::repair(&self.fs, &keys, &obj)?;
         if matches!(outcome, hidden::RepairOutcome::Repaired { .. }) {
             // Any cached plaintext decoded from the damaged shares is stale.
@@ -816,7 +835,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// Queue a self-healing ticket for the object when `health` reports the
     /// preceding read was served degraded (fallback shares or metadata
     /// replicas).  Deduplicated per object; cheap no-op on healthy reads.
-    fn note_degraded(&self, physical_name: &str, fak: &[u8; FAK_LEN], health: &hidden::ReadHealth) {
+    fn note_degraded(&self, physical_name: &str, fak: &[u8; FAK_LEN], health: &ReadHealth) {
         if !health.is_degraded() {
             return;
         }
@@ -862,7 +881,12 @@ impl<D: BlockDevice> StegFs<D> {
             let _span = span::span(span::Phase::Repair);
             let keys = self.object_keys(&ticket.physical_name, &ticket.fak, 0);
             let _obj_lock = self.object_guard(&ticket.physical_name);
-            let outcome = hidden::open(&self.fs, &ticket.physical_name, &keys, &self.params)
+            // Repair converges the incarnation on disk, so it opens from disk.
+            let ctx = ObjectCtx {
+                cache: ReadCache::disabled(),
+                ..self.ctx(&keys)
+            };
+            let outcome = hidden::open(&ctx, &ticket.physical_name)
                 .and_then(|obj| hidden::repair(&self.fs, &keys, &obj));
             match outcome {
                 Ok(hidden::RepairOutcome::Repaired { .. }) => {
@@ -897,7 +921,7 @@ impl<D: BlockDevice> StegFs<D> {
         let entry = self.entry_for(objname, uak)?;
         let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         let _obj_lock = self.object_guard(&entry.physical_name);
-        let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
+        let obj = hidden::open(&self.ctx(&keys), &entry.physical_name)?;
         hidden::share_extents(&self.fs, &keys, &obj)
     }
 
@@ -915,25 +939,10 @@ impl<D: BlockDevice> StegFs<D> {
                 expected: ObjectKind::File,
             });
         }
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let mut obj = hidden::open_cached(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        )?;
-        let mut rng = self.fork_rng();
-        hidden::write_cached(
-            &self.fs,
-            &keys,
-            &mut obj,
-            data,
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )
+        self.with_entry(entry, |_, ctx, mut obj| {
+            let mut rng = self.fork_rng();
+            hidden::write(ctx, &mut obj, data, &mut rng)
+        })
     }
 
     /// Read the full contents of the hidden file `objname` (registered under
@@ -941,64 +950,6 @@ impl<D: BlockDevice> StegFs<D> {
     pub fn read_hidden_with_key(&self, objname: &str, uak: &str) -> StegResult<Vec<u8>> {
         let entry = self.entry_for(objname, uak)?;
         self.read_hidden_entry(&entry)
-    }
-
-    /// Read `len` bytes of the hidden file `objname` starting at `offset`.
-    pub fn read_hidden_range_with_key(
-        &self,
-        objname: &str,
-        uak: &str,
-        offset: u64,
-        len: usize,
-    ) -> StegResult<Vec<u8>> {
-        let entry = self.entry_for(objname, uak)?;
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let health = hidden::ReadHealth::new();
-        let out = hidden::open_cached_observed(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-            Some(&health),
-        )
-        .and_then(|object| {
-            hidden::read_range_cached_observed(
-                &self.fs,
-                &keys,
-                &object,
-                offset,
-                len,
-                0,
-                &self.read_cache,
-                Some(&health),
-            )
-        });
-        self.note_degraded(&entry.physical_name, &entry.fak, &health);
-        out
-    }
-
-    /// Overwrite part of the hidden file `objname` in place (the range must
-    /// already exist).
-    pub fn write_hidden_range_with_key(
-        &self,
-        objname: &str,
-        uak: &str,
-        offset: u64,
-        data: &[u8],
-    ) -> StegResult<()> {
-        let entry = self.entry_for(objname, uak)?;
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let mut object = hidden::open_cached(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        )?;
-        hidden::write_range_cached(&self.fs, &keys, &mut object, offset, data, &self.read_cache)
     }
 
     /// Open a hidden file once and keep a handle for repeated positional
@@ -1039,17 +990,12 @@ impl<D: BlockDevice> StegFs<D> {
         len: usize,
         readahead_blocks: usize,
     ) -> StegResult<Vec<u8>> {
-        let health = hidden::ReadHealth::new();
-        let out = hidden::read_range_cached_observed(
-            &self.fs,
-            &handle.keys,
-            &handle.object,
-            offset,
-            len,
-            readahead_blocks,
-            &self.read_cache,
-            Some(&health),
-        );
+        let health = ReadHealth::new();
+        let ctx = ObjectCtx {
+            health: Some(&health),
+            ..self.ctx(&handle.keys)
+        };
+        let out = hidden::read_range(&ctx, &handle.object, offset, len, readahead_blocks);
         self.note_degraded(&handle.physical_name, &handle.fak, &health);
         out
     }
@@ -1064,14 +1010,7 @@ impl<D: BlockDevice> StegFs<D> {
         offset: u64,
         data: &[u8],
     ) -> StegResult<()> {
-        hidden::write_range_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            offset,
-            data,
-            &self.read_cache,
-        )
+        hidden::write_range(&self.ctx(&handle.keys), &mut handle.object, offset, data)
     }
 
     /// Public form of the UAK-directory lookup: resolve `objname` under
@@ -1083,23 +1022,17 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Open a hidden object directly from a (possibly cached) directory
     /// entry, skipping the UAK-directory walk that [`Self::open_hidden`]
-    /// performs.
+    /// performs.  A header found at a replica instead of its primary block
+    /// queues a repair ticket, as a degraded read does.
     pub fn open_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<HiddenHandle> {
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let object = hidden::open_cached(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-        )?;
-        Ok(HiddenHandle {
-            name: entry.name.clone(),
-            physical_name: entry.physical_name.clone(),
-            fak: entry.fak,
-            keys,
-            object,
+        self.with_entry(entry, |keys, _, object| {
+            Ok(HiddenHandle {
+                name: entry.name.clone(),
+                physical_name: entry.physical_name.clone(),
+                fak: entry.fak,
+                keys: Arc::clone(keys),
+                object,
+            })
         })
     }
 
@@ -1128,36 +1061,14 @@ impl<D: BlockDevice> StegFs<D> {
         let end = offset
             .checked_add(data.len() as u64)
             .ok_or(StegError::NoSpace)?;
-        if end <= handle.object.size() {
-            return hidden::write_range_cached(
-                &self.fs,
-                &handle.keys,
-                &mut handle.object,
-                offset,
-                data,
-                &self.read_cache,
-            );
+        let ctx = self.ctx(&handle.keys);
+        if end > handle.object.size() {
+            // Grow to `end` at block granularity (zero-filling any gap), then
+            // patch the written range in place — O(append), not O(file).
+            let mut rng = self.fork_rng();
+            hidden::resize(&ctx, &mut handle.object, end, &mut rng)?;
         }
-        // Grow to `end` at block granularity (zero-filling any gap), then
-        // patch the written range in place — O(append), not O(file).
-        let mut rng = self.fork_rng();
-        hidden::resize_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            end,
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )?;
-        hidden::write_range_cached(
-            &self.fs,
-            &handle.keys,
-            &mut handle.object,
-            offset,
-            data,
-            &self.read_cache,
-        )
+        hidden::write_range(&ctx, &mut handle.object, offset, data)
     }
 
     /// Set the size of the object behind `handle` to `new_len`, truncating or
@@ -1173,14 +1084,11 @@ impl<D: BlockDevice> StegFs<D> {
             return Ok(());
         }
         let mut rng = self.fork_rng();
-        hidden::resize_cached(
-            &self.fs,
-            &handle.keys,
+        hidden::resize(
+            &self.ctx(&handle.keys),
             &mut handle.object,
             new_len,
-            &self.params,
             &mut rng,
-            &self.read_cache,
         )
     }
 
@@ -1203,29 +1111,14 @@ impl<D: BlockDevice> StegFs<D> {
         entry.name = newname.to_string();
         // The object itself is untouched by a rename, but the conservative
         // contract is that *every* namespace mutation invalidates.
-        self.forget_object(&entry);
+        self.forget_object(&entry.physical_name, &entry.fak);
         dir.insert(entry)?;
         self.session.lock().disconnect(objname);
         self.save_uak_directory(uak, &dir, existing)
     }
 
     fn read_hidden_entry(&self, entry: &DirectoryEntry) -> StegResult<Vec<u8>> {
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        let _obj_lock = self.object_guard(&entry.physical_name);
-        let health = hidden::ReadHealth::new();
-        let out = hidden::open_cached_observed(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-            Some(&health),
-        )
-        .and_then(|obj| {
-            hidden::read_cached_observed(&self.fs, &keys, &obj, &self.read_cache, Some(&health))
-        });
-        self.note_degraded(&entry.physical_name, &entry.fak, &health);
-        out
+        self.with_entry(entry, |_, ctx, obj| hidden::read(ctx, &obj))
     }
 
     /// Delete the hidden object `objname` and remove it from the UAK
@@ -1242,15 +1135,16 @@ impl<D: BlockDevice> StegFs<D> {
         let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
         {
             let _obj_lock = self.object_guard(&entry.physical_name);
-            let obj = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params)?;
+            let ctx = self.ctx(&keys);
+            let obj = hidden::open(&ctx, &entry.physical_name)?;
             if entry.kind == ObjectKind::Directory {
                 // The on-disk UAK directory is only rewritten below, so
                 // refusing here leaves the object fully intact.
-                self.ensure_hidden_dir_empty(&keys, &obj, objname)?;
+                self.ensure_hidden_dir_empty(&ctx, &obj, objname)?;
             }
             let mut rng = self.fork_rng();
             let result = hidden::delete(&self.fs, &keys, &obj, &mut rng);
-            self.forget_object(&entry);
+            self.forget_object(&entry.physical_name, &entry.fak);
             result?;
             if entry.kind == ObjectKind::Directory {
                 self.delete_shadow_listing(&entry.physical_name, &entry.fak);
@@ -1361,26 +1255,8 @@ impl<D: BlockDevice> StegFs<D> {
     /// As [`Self::read_directory_listing`] but with the object shard already
     /// held by the caller.
     fn read_listing_locked(&self, entry: &DirectoryEntry) -> StegResult<UakDirectory> {
-        let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        let health = hidden::ReadHealth::new();
-        let raw = hidden::open_cached_observed(
-            &self.fs,
-            &entry.physical_name,
-            &keys,
-            &self.params,
-            &self.read_cache,
-            Some(&health),
-        )
-        .and_then(|obj| {
-            hidden::read_cached_observed(&self.fs, &keys, &obj, &self.read_cache, Some(&health))
-        });
-        self.note_degraded(&entry.physical_name, &entry.fak, &health);
-        let raw = raw?;
-        if raw.is_empty() {
-            Ok(UakDirectory::new())
-        } else {
-            Ok(UakDirectory::deserialize(&raw)?)
-        }
+        let raw = self.with_entry_locked(entry, |_, ctx, obj| hidden::read(ctx, &obj))?;
+        parse_listing(&raw)
     }
 
     /// Identity (physical name, FAK) of a directory's shadow-listing object.
@@ -1406,23 +1282,10 @@ impl<D: BlockDevice> StegFs<D> {
         children: &UakDirectory,
     ) -> StegResult<()> {
         let parent_keys = self.object_keys(&parent.physical_name, &parent.fak, 0);
-        let mut parent_obj = hidden::open_cached(
-            &self.fs,
-            &parent.physical_name,
-            &parent_keys,
-            &self.params,
-            &self.read_cache,
-        )?;
+        let ctx = self.ctx(&parent_keys);
+        let mut parent_obj = hidden::open(&ctx, &parent.physical_name)?;
         let mut rng = self.fork_rng();
-        hidden::write_cached(
-            &self.fs,
-            &parent_keys,
-            &mut parent_obj,
-            &children.serialize(),
-            &self.params,
-            &mut rng,
-            &self.read_cache,
-        )?;
+        hidden::write(&ctx, &mut parent_obj, &children.serialize(), &mut rng)?;
         self.save_shadow_listing(parent, children)
     }
 
@@ -1442,28 +1305,19 @@ impl<D: BlockDevice> StegFs<D> {
         let (shadow_physical, shadow_fak) =
             Self::shadow_identity(&parent.physical_name, &parent.fak);
         let shadow_keys = self.object_keys(&shadow_physical, &shadow_fak, 0);
-        let mut shadow_obj =
-            match hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params) {
-                Ok(obj) => obj,
-                Err(e) if e.is_not_found() => hidden::create_with_policy(
-                    &self.fs,
-                    &shadow_physical,
-                    &shadow_keys,
-                    ObjectKind::File,
-                    self.params.hidden_policy,
-                    &self.params,
-                )?,
-                Err(e) => return Err(e),
-            };
+        let ctx = self.ctx(&shadow_keys);
+        let mut shadow_obj = match hidden::open(&ctx, &shadow_physical) {
+            Ok(obj) => obj,
+            Err(e) if e.is_not_found() => hidden::create(
+                &ctx,
+                &shadow_physical,
+                ObjectKind::File,
+                self.params.hidden_policy,
+            )?,
+            Err(e) => return Err(e),
+        };
         let mut rng = self.fork_rng();
-        hidden::write(
-            &self.fs,
-            &shadow_keys,
-            &mut shadow_obj,
-            &children.serialize(),
-            &self.params,
-            &mut rng,
-        )
+        hidden::write(&ctx, &mut shadow_obj, &children.serialize(), &mut rng)
     }
 
     /// Best-effort removal of a directory's shadow listing when the
@@ -1472,12 +1326,11 @@ impl<D: BlockDevice> StegFs<D> {
     fn delete_shadow_listing(&self, physical: &str, fak: &[u8; FAK_LEN]) {
         let (shadow_physical, shadow_fak) = Self::shadow_identity(physical, fak);
         let shadow_keys = self.object_keys(&shadow_physical, &shadow_fak, 0);
-        if let Ok(shadow_obj) = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)
-        {
+        if let Ok(shadow_obj) = hidden::open(&self.ctx(&shadow_keys), &shadow_physical) {
             let mut rng = self.fork_rng();
             let _ = hidden::delete(&self.fs, &shadow_keys, &shadow_obj, &mut rng);
         }
-        self.read_cache.forget_keys(&shadow_physical, &shadow_fak);
+        self.forget_object(&shadow_physical, &shadow_fak);
     }
 
     /// Rebuild a hidden directory whose header/chain damage exceeds its
@@ -1502,8 +1355,13 @@ impl<D: BlockDevice> StegFs<D> {
         }
         let _obj_lock = self.object_guard(&entry.physical_name);
         let keys = self.object_keys(&entry.physical_name, &entry.fak, 0);
-        if let Ok(obj) = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params) {
-            if hidden::read(&self.fs, &keys, &obj).is_ok() {
+        // The rebuild judges what survives on disk, never a cached copy.
+        let ctx = ObjectCtx {
+            cache: ReadCache::disabled(),
+            ..self.ctx(&keys)
+        };
+        if let Ok(obj) = hidden::open(&ctx, &entry.physical_name) {
+            if hidden::read(&ctx, &obj).is_ok() {
                 return Err(StegError::AlreadyExists(entry.name.clone()));
             }
         }
@@ -1512,20 +1370,23 @@ impl<D: BlockDevice> StegFs<D> {
         // actually usable.
         let (shadow_physical, shadow_fak) = Self::shadow_identity(&entry.physical_name, &entry.fak);
         let shadow_keys = self.object_keys(&shadow_physical, &shadow_fak, 0);
-        let shadow_obj = hidden::open(&self.fs, &shadow_physical, &shadow_keys, &self.params)?;
-        let raw = hidden::read(&self.fs, &shadow_keys, &shadow_obj)?;
-        let listing = if raw.is_empty() {
-            UakDirectory::new()
-        } else {
-            UakDirectory::deserialize(&raw)?
+        let shadow_ctx = ObjectCtx {
+            keys: &shadow_keys,
+            ..ctx
         };
+        let shadow_obj = hidden::open(&shadow_ctx, &shadow_physical)?;
+        let listing = parse_listing(&hidden::read(&shadow_ctx, &shadow_obj)?)?;
 
         // Re-link only children whose objects still probe under their keys.
         let mut kept = UakDirectory::new();
         let mut dropped = Vec::new();
         for child in listing.entries {
             let child_keys = self.object_keys(&child.physical_name, &child.fak, 0);
-            if hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params).is_ok() {
+            let child_ctx = ObjectCtx {
+                keys: &child_keys,
+                ..ctx
+            };
+            if hidden::open(&child_ctx, &child.physical_name).is_ok() {
                 kept.insert(child)?;
             } else {
                 dropped.push(child.name.clone());
@@ -1537,29 +1398,20 @@ impl<D: BlockDevice> StegFs<D> {
         // the chain does not, scrub the header replicas so the re-creation's
         // probes cannot resurrect it.
         let mut rng = self.fork_rng();
-        if let Ok(old) = hidden::open(&self.fs, &entry.physical_name, &keys, &self.params) {
+        if let Ok(old) = hidden::open(&ctx, &entry.physical_name) {
             if hidden::delete(&self.fs, &keys, &old, &mut rng).is_err() {
                 hidden::destroy_unreadable(&self.fs, &old, &mut rng)?;
             }
         }
         self.read_cache.invalidate(keys.signature());
 
-        let mut obj = hidden::create_with_policy(
-            &self.fs,
+        let mut obj = hidden::create(
+            &ctx,
             &entry.physical_name,
-            &keys,
             ObjectKind::Directory,
             self.params.hidden_policy,
-            &self.params,
         )?;
-        hidden::write(
-            &self.fs,
-            &keys,
-            &mut obj,
-            &kept.serialize(),
-            &self.params,
-            &mut rng,
-        )?;
+        hidden::write(&ctx, &mut obj, &kept.serialize(), &mut rng)?;
         Ok(DirRebuild {
             children_relinked: kept.entries.len(),
             children_dropped: dropped,
@@ -1630,22 +1482,14 @@ impl<D: BlockDevice> StegFs<D> {
         let fak = self.generate_fak(child_name);
         let physical_name = format!("{}/{}", parent.physical_name, child_name);
         let child_keys = self.object_keys(&physical_name, &fak, 0);
-        let mut child_obj = hidden::create_with_policy(
-            &self.fs,
-            &physical_name,
-            &child_keys,
-            kind,
-            self.params.hidden_policy,
-            &self.params,
-        )?;
+        let ctx = self.ctx(&child_keys);
+        let mut child_obj = hidden::create(&ctx, &physical_name, kind, self.params.hidden_policy)?;
         if kind == ObjectKind::Directory {
             let mut rng = self.fork_rng();
             hidden::write(
-                &self.fs,
-                &child_keys,
+                &ctx,
                 &mut child_obj,
                 &UakDirectory::new().serialize(),
-                &self.params,
                 &mut rng,
             )?;
         }
@@ -1686,17 +1530,11 @@ impl<D: BlockDevice> StegFs<D> {
     /// Caller holds the object's shard and has already opened `obj`.
     fn ensure_hidden_dir_empty(
         &self,
-        keys: &ObjectKeys,
+        ctx: &ObjectCtx<'_, D>,
         obj: &HiddenObject,
         name: &str,
     ) -> StegResult<()> {
-        let raw = hidden::read(&self.fs, keys, obj)?;
-        let listing = if raw.is_empty() {
-            UakDirectory::new()
-        } else {
-            UakDirectory::deserialize(&raw)?
-        };
-        if !listing.entries.is_empty() {
+        if !parse_listing(&hidden::read(ctx, obj)?)?.entries.is_empty() {
             return Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(
                 name.to_string(),
             )));
@@ -1776,9 +1614,10 @@ impl<D: BlockDevice> StegFs<D> {
         _child_shard: Option<TimedMutexGuard<'_, ()>>,
     ) -> StegResult<DirectoryEntry> {
         let child_keys = self.object_keys(&child.physical_name, &child.fak, 0);
-        let child_obj = hidden::open(&self.fs, &child.physical_name, &child_keys, &self.params)?;
+        let child_ctx = self.ctx(&child_keys);
+        let child_obj = hidden::open(&child_ctx, &child.physical_name)?;
         if child.kind == ObjectKind::Directory {
-            self.ensure_hidden_dir_empty(&child_keys, &child_obj, &child.name)?;
+            self.ensure_hidden_dir_empty(&child_ctx, &child_obj, &child.name)?;
         }
 
         // Unpublish, then destroy.
@@ -1786,7 +1625,7 @@ impl<D: BlockDevice> StegFs<D> {
         self.save_listing_locked(parent, &children)?;
         let mut rng = self.fork_rng();
         let result = hidden::delete(&self.fs, &child_keys, &child_obj, &mut rng);
-        self.forget_object(&child);
+        self.forget_object(&child.physical_name, &child.fak);
         result?;
         if child.kind == ObjectKind::Directory {
             self.delete_shadow_listing(&child.physical_name, &child.fak);
@@ -1823,36 +1662,11 @@ impl<D: BlockDevice> StegFs<D> {
             .remove(old)
             .ok_or_else(|| StegError::NotFound(old.to_string()))?;
         entry.name = new.to_string();
-        self.forget_object(&entry);
+        self.forget_object(&entry.physical_name, &entry.fak);
         children.insert(entry)?;
         self.save_listing_locked(parent, &children)?;
         self.session.lock().disconnect(old);
         Ok(())
-    }
-
-    /// Name-based convenience for [`Self::remove_dir_child`]: delete the
-    /// child `child` of the top-level hidden directory `parent` (registered
-    /// under `uak`).
-    pub fn delete_in_hidden_dir(
-        &self,
-        parent: &str,
-        child: &str,
-        uak: &str,
-    ) -> StegResult<DirectoryEntry> {
-        let parent_entry = self.entry_for(parent, uak)?;
-        self.remove_dir_child(&parent_entry, child)
-    }
-
-    /// Name-based convenience for [`Self::rename_dir_child`].
-    pub fn rename_in_hidden_dir(
-        &self,
-        parent: &str,
-        old: &str,
-        new: &str,
-        uak: &str,
-    ) -> StegResult<()> {
-        let parent_entry = self.entry_for(parent, uak)?;
-        self.rename_dir_child(&parent_entry, old, new)
     }
 
     // ------------------------------------------------------------------
@@ -1892,7 +1706,10 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Revoke a previously shared object: re-key it under a fresh FAK (and a
     /// fresh physical name) so that recipients of the old `(name, FAK)` pair
-    /// lose access, as described at the end of §3.2.
+    /// lose access, as described at the end of §3.2.  The replacement keeps
+    /// the object's durability policy.  A directory's shadow listing — which
+    /// names every child with its FAK — moves to the new identity, so the
+    /// old FAK opens nothing at all.
     pub fn revoke_sharing(&self, objname: &str, uak: &str) -> StegResult<()> {
         let _uak_lock = self.uak_guard(uak);
         let (mut dir, existing) = self.load_uak_directory(uak)?;
@@ -1900,53 +1717,47 @@ impl<D: BlockDevice> StegFs<D> {
             .remove(objname)
             .ok_or_else(|| StegError::NotFound(objname.to_string()))?;
 
-        // Read the current contents with the old key.
+        // Read the current contents and policy with the old key.
         let scope = Self::session_scope(uak);
         let old_keys = self.object_keys(&entry.physical_name, &entry.fak, scope);
-        let data = {
+        let old_ctx = self.ctx(&old_keys);
+        let (data, policy) = {
             let _obj_lock = self.object_guard(&entry.physical_name);
-            let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
-            hidden::read(&self.fs, &old_keys, &old_obj)?
+            let old_obj = hidden::open(&old_ctx, &entry.physical_name)?;
+            (hidden::read(&old_ctx, &old_obj)?, old_obj.header.policy)
         };
 
         // Create the replacement under a fresh FAK and physical name.
         let revision = self.fak_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let fak = self.generate_fak(objname);
-        let physical_name = format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision);
-        let new_keys = self.object_keys(&physical_name, &fak, scope);
-        let mut new_obj = hidden::create(
-            &self.fs,
-            &physical_name,
-            &new_keys,
-            entry.kind,
-            &self.params,
-        )?;
+        let new_entry = DirectoryEntry {
+            name: objname.to_string(),
+            physical_name: format!("{}:{}#rev{}", Self::owner_tag(uak), objname, revision),
+            fak: self.generate_fak(objname),
+            kind: entry.kind,
+        };
+        let new_keys = self.object_keys(&new_entry.physical_name, &new_entry.fak, scope);
+        let new_ctx = self.ctx(&new_keys);
+        let mut new_obj = hidden::create(&new_ctx, &new_entry.physical_name, entry.kind, policy)?;
         let mut rng = self.fork_rng();
-        hidden::write(
-            &self.fs,
-            &new_keys,
-            &mut new_obj,
-            &data,
-            &self.params,
-            &mut rng,
-        )?;
-
-        // Destroy the old object, invalidating every outstanding copy of the
-        // old FAK.
-        {
-            let _obj_lock = self.object_guard(&entry.physical_name);
-            let old_obj = hidden::open(&self.fs, &entry.physical_name, &old_keys, &self.params)?;
-            let result = hidden::delete(&self.fs, &old_keys, &old_obj, &mut rng);
-            self.forget_object(&entry);
-            result?;
+        hidden::write(&new_ctx, &mut new_obj, &data, &mut rng)?;
+        if entry.kind == ObjectKind::Directory {
+            self.save_shadow_listing(&new_entry, &parse_listing(&data)?)?;
         }
 
-        dir.insert(DirectoryEntry {
-            name: objname.to_string(),
-            physical_name,
-            fak,
-            kind: entry.kind,
-        })?;
+        // Destroy the old object (and its shadow), invalidating every
+        // outstanding copy of the old FAK.
+        {
+            let _obj_lock = self.object_guard(&entry.physical_name);
+            let old_obj = hidden::open(&old_ctx, &entry.physical_name)?;
+            let result = hidden::delete(&self.fs, &old_keys, &old_obj, &mut rng);
+            self.forget_object(&entry.physical_name, &entry.fak);
+            result?;
+            if entry.kind == ObjectKind::Directory {
+                self.delete_shadow_listing(&entry.physical_name, &entry.fak);
+            }
+        }
+
+        dir.insert(new_entry)?;
         self.save_uak_directory(uak, &dir, existing)
     }
 
@@ -2289,8 +2100,7 @@ mod tests {
         fs.write_hidden_entry(&a, &vec![7u8; 10 * 1024]).unwrap();
 
         // Rename keeps the contents and the physical identity.
-        fs.rename_in_hidden_dir("vault", "a", "renamed", UAK)
-            .unwrap();
+        fs.rename_dir_child(&parent, "a", "renamed").unwrap();
         let listing = fs.list_hidden_dir("vault", UAK).unwrap();
         assert!(listing.iter().any(|(n, _)| n == "renamed"));
         assert!(!listing.iter().any(|(n, _)| n == "a"));
@@ -2302,22 +2112,22 @@ mod tests {
             .unwrap();
         assert_eq!(renamed.physical_name, a.physical_name);
         assert!(matches!(
-            fs.rename_in_hidden_dir("vault", "renamed", "b", UAK),
+            fs.rename_dir_child(&parent, "renamed", "b"),
             Err(StegError::AlreadyExists(_))
         ));
         assert!(fs
-            .rename_in_hidden_dir("vault", "ghost", "x", UAK)
+            .rename_dir_child(&parent, "ghost", "x")
             .unwrap_err()
             .is_not_found());
 
         // Deleting returns the child's blocks and unpublishes the entry.
-        let removed = fs.delete_in_hidden_dir("vault", "renamed", UAK).unwrap();
+        let removed = fs.remove_dir_child(&parent, "renamed").unwrap();
         assert_eq!(removed.physical_name, a.physical_name);
-        fs.delete_in_hidden_dir("vault", "b", UAK).unwrap();
+        fs.remove_dir_child(&parent, "b").unwrap();
         assert!(fs.list_hidden_dir("vault", UAK).unwrap().is_empty());
         assert_eq!(fs.plain_fs().free_data_blocks(), free_empty);
         assert!(fs
-            .delete_in_hidden_dir("vault", "renamed", UAK)
+            .remove_dir_child(&parent, "renamed")
             .unwrap_err()
             .is_not_found());
     }
@@ -2335,15 +2145,11 @@ mod tests {
             .find("sub")
             .cloned()
             .unwrap();
-        // Nest a grandchild through the entry-based API.
+        // Nest a grandchild behind the facade's back, through the volume's
+        // own cache so the listing stays coherent.
         let child_dir_keys = ObjectKeys::derive(&sub.physical_name, &sub.fak);
-        let mut sub_obj = hidden::open(
-            fs.plain_fs(),
-            &sub.physical_name,
-            &child_dir_keys,
-            fs.params(),
-        )
-        .unwrap();
+        let ctx = fs.ctx(&child_dir_keys);
+        let mut sub_obj = hidden::open(&ctx, &sub.physical_name).unwrap();
         let mut listing = UakDirectory::new();
         listing
             .insert(DirectoryEntry {
@@ -2354,18 +2160,10 @@ mod tests {
             })
             .unwrap();
         let mut rng = stegfs_crypto::prng::DeterministicRng::new(b"t");
-        hidden::write(
-            fs.plain_fs(),
-            &child_dir_keys,
-            &mut sub_obj,
-            &listing.serialize(),
-            fs.params(),
-            &mut rng,
-        )
-        .unwrap();
+        hidden::write(&ctx, &mut sub_obj, &listing.serialize(), &mut rng).unwrap();
 
         assert!(matches!(
-            fs.delete_in_hidden_dir("vault", "sub", UAK),
+            fs.remove_dir_child(&parent, "sub"),
             Err(StegError::Fs(stegfs_fs::FsError::DirectoryNotEmpty(_)))
         ));
         // Still listed after the refusal.
@@ -2457,6 +2255,62 @@ mod tests {
             .read_hidden_with_key("contract", recipient_uak)
             .unwrap_err()
             .is_not_found());
+    }
+
+    #[test]
+    fn revocation_keeps_the_durability_policy() {
+        let fs = small_fs();
+        let policy = Policy::Disperse { m: 2, n: 4 };
+        fs.steg_create_with_policy("coded", UAK, ObjectKind::File, policy)
+            .unwrap();
+        let data: Vec<u8> = (0..5 * 1024u32).map(|i| (i % 251) as u8).collect();
+        fs.write_hidden_with_key("coded", UAK, &data).unwrap();
+        let before = fs.hidden_share_extents("coded", UAK).unwrap();
+        assert!(before.iter().all(|g| g.len() == 4));
+
+        fs.revoke_sharing("coded", UAK).unwrap();
+        let after = fs.hidden_share_extents("coded", UAK).unwrap();
+        assert_eq!(after.len(), before.len());
+        assert!(after.iter().all(|g| g.len() == 4), "re-created plain");
+        assert_eq!(fs.read_hidden_with_key("coded", UAK).unwrap(), data);
+    }
+
+    /// Open and read the shadow listing of the directory `entry`, from disk.
+    fn read_shadow(
+        fs: &StegFs<MemBlockDevice>,
+        entry: &DirectoryEntry,
+    ) -> StegResult<UakDirectory> {
+        let (physical, fak) =
+            StegFs::<MemBlockDevice>::shadow_identity(&entry.physical_name, &entry.fak);
+        let keys = ObjectKeys::derive(&physical, &fak);
+        let ctx = ObjectCtx {
+            cache: ReadCache::disabled(),
+            ..fs.ctx(&keys)
+        };
+        let obj = hidden::open(&ctx, &physical)?;
+        parse_listing(&hidden::read(&ctx, &obj)?)
+    }
+
+    #[test]
+    fn revoking_a_directory_moves_its_shadow_listing() {
+        let fs = small_fs();
+        fs.steg_create("vault", UAK, ObjectKind::Directory).unwrap();
+        fs.create_in_hidden_dir("vault", "a", UAK, ObjectKind::File)
+            .unwrap();
+        fs.create_in_hidden_dir("vault", "b", UAK, ObjectKind::Directory)
+            .unwrap();
+        let old = fs.lookup_entry("vault", UAK).unwrap();
+        let listing = fs.read_hidden_dir_listing(&old).unwrap();
+        assert_eq!(read_shadow(&fs, &old).unwrap(), listing);
+
+        fs.revoke_sharing("vault", UAK).unwrap();
+        // The old FAK no longer reaches the children's names and FAKs...
+        assert!(read_shadow(&fs, &old).unwrap_err().is_not_found());
+        // ...while the re-keyed directory carries a shadow of its own.
+        let new = fs.lookup_entry("vault", UAK).unwrap();
+        assert_ne!(new.fak, old.fak);
+        assert_eq!(fs.read_hidden_dir_listing(&new).unwrap(), listing);
+        assert_eq!(read_shadow(&fs, &new).unwrap(), listing);
     }
 
     #[test]
@@ -2740,13 +2594,9 @@ mod tests {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 256) as u8).collect();
         fs.steg_create("ranged", UAK, ObjectKind::File).unwrap();
         fs.write_hidden_with_key("ranged", UAK, &data).unwrap();
-        assert_eq!(
-            fs.read_hidden_range_with_key("ranged", UAK, 2000, 500)
-                .unwrap(),
-            &data[2000..2500]
-        );
-        fs.write_hidden_range_with_key("ranged", UAK, 2048, &[9u8; 1024])
-            .unwrap();
+        let mut h = fs.open_hidden("ranged", UAK).unwrap();
+        assert_eq!(fs.read_range_at(&h, 2000, 500).unwrap(), &data[2000..2500]);
+        fs.write_range_at(&mut h, 2048, &[9u8; 1024]).unwrap();
         let mut expected = data.clone();
         expected[2048..3072].copy_from_slice(&[9u8; 1024]);
         assert_eq!(fs.read_hidden_with_key("ranged", UAK).unwrap(), expected);
@@ -2881,7 +2731,7 @@ mod tests {
         fs.write_hidden_with_key("meta.dat", UAK, &data).unwrap();
         let entry = fs.lookup_entry("meta.dat", UAK).unwrap();
         let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
-        let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).unwrap();
+        let obj = hidden::open(&fs.ctx(&keys), &entry.physical_name).unwrap();
         let victims = [obj.header.header_replicas[0], obj.header.inode_chain];
         let before = raw_bytes(&fs, &victims);
         for (i, &v) in victims.iter().enumerate() {
@@ -2978,7 +2828,7 @@ mod tests {
         // Destroy every header replica of the directory object: damage past
         // the metadata redundancy, so the listing is unreachable by key.
         let keys = ObjectKeys::derive(&parent.physical_name, &parent.fak);
-        let obj = hidden::open(fs.plain_fs(), &parent.physical_name, &keys, fs.params()).unwrap();
+        let obj = hidden::open(&fs.ctx(&keys), &parent.physical_name).unwrap();
         let headers = if obj.header.header_replicas.is_empty() {
             vec![obj.header_block]
         } else {
@@ -3003,7 +2853,7 @@ mod tests {
         // re-links the survivor and reports the dangling child by name.
         let b = listing.find("b").cloned().unwrap();
         let b_keys = ObjectKeys::derive(&b.physical_name, &b.fak);
-        let b_obj = hidden::open(fs.plain_fs(), &b.physical_name, &b_keys, fs.params()).unwrap();
+        let b_obj = hidden::open(&fs.ctx(&b_keys), &b.physical_name).unwrap();
         let b_headers = if b_obj.header.header_replicas.is_empty() {
             vec![b_obj.header_block]
         } else {
@@ -3012,7 +2862,7 @@ mod tests {
         for (i, &h) in b_headers.iter().enumerate() {
             smash_raw(&fs, h, 0x40 + i as u8);
         }
-        let obj = hidden::open(fs.plain_fs(), &parent.physical_name, &keys, fs.params()).unwrap();
+        let obj = hidden::open(&fs.ctx(&keys), &parent.physical_name).unwrap();
         let headers = if obj.header.header_replicas.is_empty() {
             vec![obj.header_block]
         } else {

@@ -8,7 +8,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use stegfs_blockdev::BlockDevice;
-use stegfs_obs::{span, LockStats, Obs, ENGINE_OPS};
+use stegfs_obs::{span, LockStats, Obs};
 use stegfs_vfs::{SessionId, Vfs, VfsError, VfsResult};
 
 /// One queued unit of work.
@@ -64,7 +64,7 @@ fn lock_queue<'a>(
     }
 }
 
-/// Index of a request in [`ENGINE_OPS`] (one latency histogram per op type).
+/// Index of a request in [`stegfs_obs::ENGINE_OPS`] (one latency histogram per op type).
 fn op_index(request: &Request) -> usize {
     match request {
         Request::Open { .. } => 0,
@@ -355,13 +355,11 @@ fn worker_loop<D: BlockDevice + Send + Sync>(vfs: &Vfs<D>, shared: &EngineShared
             service: started.elapsed(),
         };
         if enabled {
-            let service_ns = completion.service.as_nanos() as u64;
             shared.obs.engine.record_completion(
                 op,
                 completion.latency.as_nanos() as u64,
-                service_ns,
+                completion.service.as_nanos() as u64,
             );
-            shared.obs.trace_span("engine", ENGINE_OPS[op], service_ns);
         }
         if tracing {
             // request_end force-closes anything a panicking request left

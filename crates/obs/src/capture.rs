@@ -3,7 +3,7 @@
 //!
 //! # Deniability contract
 //!
-//! Same bar as the trace ring: entries carry static labels, ephemeral
+//! Same bar as the flat metrics: entries carry static labels, ephemeral
 //! counter-derived request ids, and durations — never key material, paths,
 //! plaintext, or hidden block addresses. Capacities and entry shapes are
 //! fixed at construction, so what the structures *can* hold is independent

@@ -4,8 +4,7 @@
 //! metrics layer threaded through every tier of the filesystem: sharded
 //! log-linear latency [`Histogram`]s, a per-layer metrics registry
 //! ([`Obs`]), contention-instrumented lock wrappers
-//! ([`TimedMutex`]/[`TimedRwLock`]), a RAM-only ring buffer of recent
-//! trace spans ([`TraceRing`]), and causal per-request phase tracing
+//! ([`TimedMutex`]/[`TimedRwLock`]), and causal per-request phase tracing
 //! ([`span`]): a thread-local request context installed at engine
 //! admission accumulates a tree of timed phases (`queue_wait`,
 //! `uak_shard`, `journal_stage`, `gate_flush`, `device_io`, ...) that
@@ -36,9 +35,8 @@
 //! - **RAM only.** Nothing here is ever persisted to the volume; the disk
 //!   image is bit-identical whether collection (or tracing) is enabled or
 //!   not.
-//! - **Trace buffers and captured span trees zeroize** on
-//!   `signoff`/unmount via [`TraceRing::zeroize`],
-//!   [`SlowCapture::zeroize`], and [`TraceCapture::zeroize`] — the worst-N
+//! - **Captured span trees zeroize** on `signoff`/unmount via
+//!   [`SlowCapture::zeroize`] and [`TraceCapture::zeroize`] — the worst-N
 //!   capture holds whole request trees, so it is scrubbed with the same
 //!   discipline as plaintext caches.
 //!
@@ -47,7 +45,7 @@
 //! [`Obs::disabled`] (selected by `StegParams::obs_enabled = false`)
 //! allocates no histogram shards and never reads the clock: disabled
 //! histograms early-return, [`TimedMutex`] degenerates to a plain lock,
-//! and the trace ring has zero capacity. The instrumentation compiles in
+//! and no span context is ever installed. The instrumentation compiles in
 //! but collection cost is a predictable branch per hook.
 
 #![forbid(unsafe_code)]
@@ -56,7 +54,6 @@ mod capture;
 mod hist;
 mod lock;
 pub mod span;
-mod trace;
 
 pub use capture::{
     chrome_trace_json, CaptureEvent, SlowCapture, SlowEntry, TraceCapture, SLOW_PER_OP,
@@ -67,13 +64,14 @@ pub use lock::{
     TimedRwLockWriteGuard,
 };
 pub use span::{FinishedRequest, Phase, SpanRecord, PHASE_COUNT, PHASE_NAMES};
-pub use trace::{TraceEvent, TraceRing};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default trace ring capacity (events) when collection is enabled.
+/// Default `StegParams::trace_capacity`.  Any non-zero capacity turns
+/// causal span tracing on when collection is enabled; `0` keeps the flat
+/// metrics and turns the span layer off.
 pub const TRACE_CAPACITY: usize = 1024;
 
 /// Static labels for the engine's request taxonomy, in wire order. The
@@ -714,7 +712,6 @@ pub struct Obs {
     pub gate: Arc<GateStats>,
     pub readcache: Arc<ReadCacheStats>,
     pub engine: Arc<EngineStats>,
-    pub trace: TraceRing,
     /// Per-op × per-phase self-time attribution from request span trees.
     pub attribution: AttributionStats,
     /// Worst-N slow-request span trees per op type.
@@ -759,9 +756,9 @@ impl Obs {
         Self::with_trace_capacity(enabled, TRACE_CAPACITY)
     }
 
-    /// Construct with an explicit trace-ring capacity
-    /// (`StegParams::trace_capacity`); `0` disables the ring even when
-    /// collection is otherwise enabled.
+    /// Construct with an explicit trace capacity
+    /// (`StegParams::trace_capacity`): a non-zero value turns causal span
+    /// tracing on when collection is enabled, `0` keeps it off.
     pub fn with_trace_capacity(enabled: bool, trace_capacity: usize) -> Arc<Self> {
         Arc::new(Obs {
             enabled,
@@ -778,7 +775,6 @@ impl Obs {
             gate: Arc::new(GateStats::new(enabled)),
             readcache: Arc::new(ReadCacheStats::new(enabled)),
             engine: Arc::new(EngineStats::new(enabled)),
-            trace: TraceRing::new(if enabled { trace_capacity } else { 0 }),
             attribution: AttributionStats::new(enabled),
             slow: SlowCapture::new(enabled),
             capture: TraceCapture::new(),
@@ -807,15 +803,6 @@ impl Obs {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Record a trace span ending now with duration `dur_ns`.
-    #[inline]
-    pub fn trace_span(&self, layer: &'static str, op: &'static str, dur_ns: u64) {
-        if self.enabled {
-            self.trace
-                .record(layer, op, self.now_ns().saturating_sub(dur_ns), dur_ns);
-        }
-    }
-
     /// Feed one finished request's span tree into the attribution table,
     /// the slow-request capture, and (when active) the chrome-trace capture.
     /// `latency_ns` is the submit → completion latency; `worker` is the
@@ -833,7 +820,7 @@ impl Obs {
         }
     }
 
-    /// Zero every counter and histogram (not the trace ring). Used to scope
+    /// Zero every counter and histogram. Used to scope
     /// a measurement window to e.g. one sweep pass.
     pub fn reset(&self) {
         self.alloc_lock.reset();
@@ -882,9 +869,6 @@ impl Obs {
             engine: self.engine.summary(),
             watchdog: self.watchdog.summary(),
             repair: self.repair.summary(),
-            trace_accepted: self.trace.accepted(),
-            trace_dropped: self.trace.dropped(),
-            trace_overwritten: self.trace.overwritten(),
         }
     }
 }
@@ -902,9 +886,6 @@ pub struct Snapshot {
     pub engine: EngineSummary,
     pub watchdog: WatchdogSummary,
     pub repair: RepairSummary,
-    pub trace_accepted: u64,
-    pub trace_dropped: u64,
-    pub trace_overwritten: u64,
 }
 
 impl Snapshot {
@@ -929,7 +910,7 @@ impl Snapshot {
     /// Full fixed-shape JSON export.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"enabled\": {}, \"locks\": {}, \"device\": {}, \"journal_gate\": {}, \"readcache\": {}, \"engine\": {}, \"watchdog\": {}, \"repair\": {}, \"trace\": {{\"accepted\": {}, \"dropped\": {}, \"overwritten\": {}}}}}",
+            "{{\"enabled\": {}, \"locks\": {}, \"device\": {}, \"journal_gate\": {}, \"readcache\": {}, \"engine\": {}, \"watchdog\": {}, \"repair\": {}}}",
             self.enabled,
             self.locks_json(),
             self.device.to_json(),
@@ -937,10 +918,7 @@ impl Snapshot {
             self.readcache.to_json(),
             self.engine.to_json(),
             self.watchdog.to_json(),
-            self.repair.to_json(),
-            self.trace_accepted,
-            self.trace_dropped,
-            self.trace_overwritten
+            self.repair.to_json()
         )
     }
 
@@ -995,11 +973,9 @@ mod tests {
     fn disabled_registry_still_snapshots() {
         let obs = Obs::disabled();
         obs.device.read_ns.record(100);
-        obs.trace_span("engine", "read", 50);
         let snap = obs.snapshot();
         assert!(!snap.enabled);
         assert_eq!(snap.device.read_ns.count, 0);
-        assert!(obs.trace.is_zeroed());
         // Shape matches the enabled registry except the "enabled" flag.
         let enabled_shape = Obs::new(true).snapshot().shape();
         assert_eq!(
@@ -1030,27 +1006,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_span_records_when_enabled() {
-        let obs = Obs::new(true);
-        obs.trace_span("journal", "commit", 1_000);
-        assert_eq!(obs.trace.accepted(), 1);
-        obs.trace.zeroize();
-        assert!(obs.trace.is_zeroed());
-    }
-
-    #[test]
     fn trace_capacity_is_configurable() {
-        let obs = Obs::with_trace_capacity(true, 2);
-        assert_eq!(obs.trace.capacity(), 2);
-        for _ in 0..5 {
-            obs.trace_span("engine", "read", 10);
-        }
-        assert_eq!(obs.trace.accepted(), 5);
-        assert_eq!(obs.trace.overwritten(), 3);
-        // 0 disables the ring even with collection on.
-        let off = Obs::with_trace_capacity(true, 0);
-        off.trace_span("engine", "read", 10);
-        assert!(off.trace.is_zeroed());
+        assert!(Obs::with_trace_capacity(true, 2).is_tracing());
+        // 0 turns tracing off even with collection on; disabled collection
+        // never traces.
+        assert!(!Obs::with_trace_capacity(true, 0).is_tracing());
+        assert!(!Obs::with_trace_capacity(false, 2).is_tracing());
     }
 
     fn one_finished(op: usize, wall_ns: u64) -> FinishedRequest {

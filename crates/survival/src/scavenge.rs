@@ -166,6 +166,24 @@ mod tests {
         StegFs::format(dev, params).unwrap()
     }
 
+    /// The header replica blocks of `entry`'s object, as the offline
+    /// scavenger sees them: read from disk, bypassing the read cache.
+    fn header_replicas(
+        fs: &StegFs<CorruptingDevice<MemBlockDevice>>,
+        entry: &DirectoryEntry,
+    ) -> Vec<u64> {
+        let keys = stegfs_core::crypt::ObjectKeys::derive(&entry.physical_name, &entry.fak);
+        let ctx = stegfs_core::hidden::ObjectCtx {
+            fs: fs.plain_fs(),
+            keys: &keys,
+            params: fs.params(),
+            cache: stegfs_core::readcache::ReadCache::disabled(),
+            health: None,
+        };
+        let obj = stegfs_core::hidden::open(&ctx, &entry.physical_name).unwrap();
+        obj.header.header_replicas
+    }
+
     #[test]
     fn clean_volume_scans_intact() {
         let fs = fixture();
@@ -238,11 +256,8 @@ mod tests {
 
         // Destroy every header replica of the interior directory "d":
         // damage past its metadata redundancy, so it cannot even be opened.
-        let keys = stegfs_core::crypt::ObjectKeys::derive(&d.physical_name, &d.fak);
-        let obj =
-            stegfs_core::hidden::open(fs.plain_fs(), &d.physical_name, &keys, fs.params()).unwrap();
         let dev = fs.plain_fs().device().clone();
-        for &h in &obj.header.header_replicas {
+        for h in header_replicas(&fs, &d) {
             dev.zero_block(h).unwrap();
         }
         fs.purge_read_caches();
@@ -278,11 +293,7 @@ mod tests {
 
         let dev = fs.plain_fs().device().clone();
         for entry in [&d, &gone] {
-            let keys = stegfs_core::crypt::ObjectKeys::derive(&entry.physical_name, &entry.fak);
-            let obj =
-                stegfs_core::hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params())
-                    .unwrap();
-            for &h in &obj.header.header_replicas {
+            for h in header_replicas(&fs, entry) {
                 dev.zero_block(h).unwrap();
             }
         }

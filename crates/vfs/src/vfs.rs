@@ -320,7 +320,7 @@ impl<D: BlockDevice> Vfs<D> {
     /// reach is **purged and zeroed** — no decrypted byte may outlive a
     /// session that could read it, while entries other live sessions
     /// resolved through their own keys stay warm (see
-    /// `stegfs_core::readcache`).  The RAM-only observability trace ring is
+    /// `stegfs_core::readcache`).  The RAM-only captured span trees are
     /// zeroed as well, so no record of the departing session's activity
     /// pattern survives it.
     pub fn signoff(&self, session: SessionId) -> VfsResult<()> {
@@ -334,9 +334,8 @@ impl<D: BlockDevice> Vfs<D> {
         }
         self.fs.purge_session_caches(&state.uak);
         // Session-scoped observability state that could outline hidden
-        // activity (op-labelled trace entries, captured span trees) dies
-        // with the session; the digit-normalized *shape* stays identical.
-        self.fs.obs().trace.zeroize();
+        // activity (captured span trees) dies with the session; the
+        // digit-normalized *shape* stays identical.
         self.fs.obs().slow.zeroize();
         self.fs.obs().capture.zeroize();
         Ok(())
@@ -350,7 +349,7 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// The volume's observability registry (histograms, contention
-    /// counters, trace ring).  RAM only; see `stegfs-obs` for the
+    /// counters, span captures).  RAM only; see `stegfs-obs` for the
     /// deniability contract.
     pub fn obs(&self) -> &std::sync::Arc<stegfs_obs::Obs> {
         self.fs.obs()

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::thread;
 use stegfs_blockdev::MemBlockDevice;
 use stegfs_core::crypt::ObjectKeys;
+use stegfs_core::readcache::ReadCache;
 use stegfs_core::{hidden, ObjectKind, StegFs, StegParams};
 use stegfs_tests::payload;
 
@@ -71,7 +72,15 @@ fn live_owned_blocks(fs: &StegFs<MemBlockDevice>, uaks: &[String]) -> HashMap<u6
     let mut owner_of: HashMap<u64, String> = HashMap::new();
     let mut claim = |fs: &StegFs<MemBlockDevice>, label: String, physical: &str, key: &[u8]| {
         let keys = ObjectKeys::derive(physical, key);
-        let obj = hidden::open(fs.plain_fs(), physical, &keys, fs.params()).unwrap();
+        // Ownership is checked against the blocks on disk.
+        let ctx = hidden::ObjectCtx {
+            fs: fs.plain_fs(),
+            keys: &keys,
+            params: fs.params(),
+            cache: ReadCache::disabled(),
+            health: None,
+        };
+        let obj = hidden::open(&ctx, physical).unwrap();
         for b in hidden::owned_blocks(fs.plain_fs(), &keys, &obj).unwrap() {
             assert!(
                 fs.plain_fs().is_block_allocated(b),
@@ -237,9 +246,8 @@ fn write_path_cache_never_changes_the_disk_image() {
         // from RAM; the blocks written must be the same either way.
         fs.write_hidden_with_key("a", uak, &payload(2, 26_000))
             .unwrap();
-        fs.write_hidden_range_with_key("a", uak, 512, &payload(3, 2_000))
-            .unwrap();
         let mut h = fs.open_hidden("a", uak).unwrap();
+        fs.write_range_at(&mut h, 512, &payload(3, 2_000)).unwrap();
         fs.truncate_handle(&mut h, 9_000).unwrap();
         fs.write_at_handle(&mut h, 8_000, &payload(4, 4_000))
             .unwrap();

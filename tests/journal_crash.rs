@@ -23,6 +23,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use stegfs_blockdev::{BufferCache, CrashDevice, MemBlockDevice};
 use stegfs_core::crypt::ObjectKeys;
+use stegfs_core::readcache::ReadCache;
 use stegfs_core::{hidden, ObjectKind, StegFs, StegParams};
 use stegfs_tests::{journaled_params, payload};
 
@@ -205,7 +206,15 @@ fn assert_no_double_ownership(fs: &Stack) {
     }
     let mut claim = |physical: &str, key: &[u8], label: String| {
         let keys = ObjectKeys::derive(physical, key);
-        let obj = match hidden::open(fs.plain_fs(), physical, &keys, fs.params()) {
+        // Ownership is checked against the blocks on disk.
+        let ctx = hidden::ObjectCtx {
+            fs: fs.plain_fs(),
+            keys: &keys,
+            params: fs.params(),
+            cache: ReadCache::disabled(),
+            health: None,
+        };
+        let obj = match hidden::open(&ctx, physical) {
             Ok(obj) => obj,
             // The object (e.g. the UAK directory before any hidden create
             // committed) does not exist — nothing to claim.
@@ -509,7 +518,14 @@ fn crash_mid_repair_replays_cleanly_and_converges() {
         }
         let entry = fs.lookup_entry("heal", OWNER).unwrap();
         let keys = ObjectKeys::derive(&entry.physical_name, &entry.fak);
-        let obj = hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params()).unwrap();
+        let ctx = hidden::ObjectCtx {
+            fs: fs.plain_fs(),
+            keys: &keys,
+            params: fs.params(),
+            cache: ReadCache::disabled(),
+            health: None,
+        };
+        let obj = hidden::open(&ctx, &entry.physical_name).unwrap();
         fs.plain_fs()
             .write_raw_block(obj.header.header_replicas[1], &junk)
             .unwrap();

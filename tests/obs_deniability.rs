@@ -11,8 +11,8 @@
 //!    holds one level down for the span layer: the attribution table's shape
 //!    and the chrome-trace export's label vocabulary are closed sets baked
 //!    into the binary.
-//! 2. The RAM-only trace ring, the slow-request capture, and any in-flight
-//!    chrome-trace capture are scrubbed on session sign-off.
+//! 2. The RAM-only slow-request capture and any in-flight chrome-trace
+//!    capture are scrubbed on session sign-off.
 //! 3. The on-disk image is bit-identical with observability on and off, and
 //!    with tracing on and off: nothing about the registry is ever persisted.
 //! 4. Request ids in span trees come from a process-global monotonic
@@ -137,10 +137,6 @@ fn trace_slow_and_capture_rings_are_zeroized_on_signoff() {
     eng_write(&client, h, payload(5, 8 * 1024));
     eng_close(&client, h);
     assert!(
-        vfs.obs().trace.accepted() > 0,
-        "engine ops must land spans in the trace ring"
-    );
-    assert!(
         vfs.obs().slow.offered() > 0 && !vfs.obs().slow.is_zeroed(),
         "completed requests must be offered to the slow capture"
     );
@@ -149,10 +145,6 @@ fn trace_slow_and_capture_rings_are_zeroized_on_signoff() {
         "an active chrome-trace capture must hold the run's trees"
     );
     client.signoff().unwrap();
-    assert!(
-        vfs.obs().trace.is_zeroed(),
-        "signoff must scrub the trace ring"
-    );
     assert!(
         vfs.obs().slow.is_zeroed(),
         "signoff must scrub the slow-request capture"
@@ -372,5 +364,4 @@ fn disabled_registry_collects_nothing() {
     }
     assert_eq!(snap.device.reads, 0);
     assert_eq!(snap.device.writes, 0);
-    assert_eq!(snap.trace_accepted, 0);
 }

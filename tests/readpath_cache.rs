@@ -52,15 +52,14 @@ fn overwrite_truncate_rename_unlink_invalidate_stegfs() {
     fs.write_hidden_with_key("doc", OWNER, &v2).unwrap();
     assert_eq!(fs.read_hidden_with_key("doc", OWNER).unwrap(), v2);
 
-    // In-place range write through the entry path.
-    fs.write_hidden_range_with_key("doc", OWNER, 100, &[0xaa; 600])
-        .unwrap();
+    // In-place range write through a handle.
+    let mut h = fs.open_hidden("doc", OWNER).unwrap();
+    fs.write_range_at(&mut h, 100, &[0xaa; 600]).unwrap();
     let mut expect = v2.clone();
     expect[100..700].copy_from_slice(&[0xaa; 600]);
     assert_eq!(fs.read_hidden_with_key("doc", OWNER).unwrap(), expect);
 
-    // Truncate through a handle.
-    let mut h = fs.open_hidden("doc", OWNER).unwrap();
+    // Truncate through the same handle.
     fs.truncate_handle(&mut h, 500).unwrap();
     assert_eq!(
         fs.read_hidden_with_key("doc", OWNER).unwrap(),
@@ -180,7 +179,8 @@ fn hidden_directory_listings_stay_coherent() {
     fs.create_in_hidden_dir("vault", "b", OWNER, ObjectKind::File)
         .unwrap();
     assert_eq!(fs.list_hidden_dir("vault", OWNER).unwrap().len(), 2);
-    fs.rename_in_hidden_dir("vault", "a", "a2", OWNER).unwrap();
+    let vault = fs.lookup_entry("vault", OWNER).unwrap();
+    fs.rename_dir_child(&vault, "a", "a2").unwrap();
     let names: Vec<String> = fs
         .list_hidden_dir("vault", OWNER)
         .unwrap()
@@ -188,7 +188,7 @@ fn hidden_directory_listings_stay_coherent() {
         .map(|(n, _)| n)
         .collect();
     assert!(names.contains(&"a2".to_string()) && !names.contains(&"a".to_string()));
-    fs.delete_in_hidden_dir("vault", "a2", OWNER).unwrap();
+    fs.remove_dir_child(&vault, "a2").unwrap();
     assert_eq!(fs.list_hidden_dir("vault", OWNER).unwrap().len(), 1);
 }
 
@@ -446,6 +446,26 @@ fn run_workload(fs: &StegFs<MemBlockDevice>) {
     fs.delete_hidden("obj-renamed", OWNER).unwrap();
     let _ = fs.list_hidden(OWNER).unwrap();
     fs.touch_dummy_files().unwrap();
+    let _ = fs.read_hidden_with_key("obj-1", OWNER).unwrap();
+
+    // Hidden directories: child create, rename and remove rewrite the
+    // listing and its shadow; revocation re-keys the directory and moves
+    // the shadow; the directory delete drops both.
+    fs.steg_create("vault", OWNER, ObjectKind::Directory)
+        .unwrap();
+    let vault = fs.lookup_entry("vault", OWNER).unwrap();
+    fs.create_dir_child(&vault, "a", ObjectKind::File).unwrap();
+    fs.create_dir_child(&vault, "b", ObjectKind::Directory)
+        .unwrap();
+    let _ = fs.read_hidden_dir_listing(&vault).unwrap();
+    fs.rename_dir_child(&vault, "a", "a2").unwrap();
+    fs.remove_dir_child(&vault, "b").unwrap();
+    fs.revoke_sharing("vault", OWNER).unwrap();
+    let vault = fs.lookup_entry("vault", OWNER).unwrap();
+    let _ = fs.read_hidden_dir_listing(&vault).unwrap();
+    fs.remove_dir_child(&vault, "a2").unwrap();
+    fs.delete_hidden("vault", OWNER).unwrap();
+    fs.revoke_sharing("obj-1", OWNER).unwrap();
     let _ = fs.read_hidden_with_key("obj-1", OWNER).unwrap();
 }
 

@@ -14,9 +14,11 @@
 
 use proptest::prelude::*;
 use stegfs_blockdev::{BlockDevice, CorruptingDevice, MemBlockDevice};
-use stegfs_core::{ObjectKind, StegFs};
+use stegfs_core::readcache::ReadCache;
+use stegfs_core::{hidden, ObjectKind, StegFs};
 use stegfs_survival::{scavenge, RepairOutcome};
 use stegfs_tests::{coded_params, payload};
+use stegfs_vfs::{OpenOptions, Vfs};
 
 const OWNER: &str = "the real key";
 
@@ -78,8 +80,15 @@ fn destroy_shares(fs: &CodedVolume, name: &str, losses: usize, seed: u64) -> usi
 fn metadata_groups(fs: &CodedVolume, name: &str) -> Vec<Vec<u64>> {
     let entry = fs.lookup_entry(name, OWNER).expect("entry");
     let keys = stegfs_core::crypt::ObjectKeys::derive(&entry.physical_name, &entry.fak);
-    let obj = stegfs_core::hidden::open(fs.plain_fs(), &entry.physical_name, &keys, fs.params())
-        .expect("open");
+    // The replica map must name the blocks on disk, not a cached header's.
+    let ctx = hidden::ObjectCtx {
+        fs: fs.plain_fs(),
+        keys: &keys,
+        params: fs.params(),
+        cache: ReadCache::disabled(),
+        health: None,
+    };
+    let obj = hidden::open(&ctx, &entry.physical_name).expect("open");
     let mut groups = Vec::new();
     if obj.header.header_replicas.is_empty() {
         groups.push(vec![obj.header_block]);
@@ -392,4 +401,53 @@ fn concurrent_degraded_reads_and_repairs_never_resurrect_old_data() {
 
     let report = scavenge(&*fs, &[OWNER]).unwrap();
     assert!(report.all_recovered(), "{report:?}");
+}
+
+/// Smash the primary header block of `name` (leaving its replicas intact)
+/// and drop every cached header, so the next open must probe the disk.
+/// Returns the block and its bytes before the damage.
+fn damage_primary_header(fs: &CodedVolume, name: &str) -> (u64, Vec<u8>) {
+    let primary = metadata_groups(fs, name)[0][0];
+    let before = fs.plain_fs().read_raw_block(primary).unwrap();
+    fs.plain_fs()
+        .write_raw_block(primary, &vec![0x5au8; before.len()])
+        .unwrap();
+    fs.purge_read_caches();
+    (primary, before)
+}
+
+#[test]
+fn open_finding_a_damaged_header_queues_a_repair() {
+    let data = payload(21, 5_000);
+
+    // Core handle open.
+    let fs = coded_volume(2, 4, 8192);
+    fs.steg_create("doc", OWNER, ObjectKind::File).unwrap();
+    fs.write_hidden_with_key("doc", OWNER, &data).unwrap();
+    let (primary, before) = damage_primary_header(&fs, "doc");
+    let h = fs.open_hidden("doc", OWNER).unwrap();
+    assert_eq!(fs.pending_repairs(), 1, "header found at a replica");
+    assert_eq!(fs.read_range_at(&h, 0, data.len()).unwrap(), data);
+    let drain = fs.process_repairs(4);
+    assert_eq!((drain.completed, drain.failed), (1, 0));
+    assert_eq!(fs.plain_fs().read_raw_block(primary).unwrap(), before);
+
+    // The same through a VFS open.
+    let fs = coded_volume(2, 4, 8192);
+    fs.steg_create("doc", OWNER, ObjectKind::File).unwrap();
+    fs.write_hidden_with_key("doc", OWNER, &data).unwrap();
+    let (primary, before) = damage_primary_header(&fs, "doc");
+    let vfs = Vfs::new(fs);
+    let s = vfs.signon(OWNER);
+    let h = vfs
+        .open(s, "/hidden/doc", OpenOptions::read_only())
+        .unwrap();
+    assert_eq!(vfs.read_at(h, 0, data.len()).unwrap(), data);
+    vfs.close(h).unwrap();
+    vfs.signoff(s).unwrap();
+    let fs = vfs.into_stegfs();
+    assert_eq!(fs.pending_repairs(), 1, "header found at a replica");
+    let drain = fs.process_repairs(4);
+    assert_eq!((drain.completed, drain.failed), (1, 0));
+    assert_eq!(fs.plain_fs().read_raw_block(primary).unwrap(), before);
 }
